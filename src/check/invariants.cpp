@@ -9,6 +9,30 @@
 
 namespace bneck::check {
 
+namespace {
+
+/// Formats a diagnostic.  Only failure paths call it: a passing check
+/// builds no stream and no string.
+template <class... Parts>
+std::string message(const Parts&... parts) {
+  std::ostringstream os;
+  (os << ... << parts);
+  return os.str();
+}
+
+/// Exact equality of two solver inputs (ids, path links, demands and
+/// weights, in order): equal inputs give a bit-identical solution.
+bool same_specs(const std::vector<core::SessionSpec>& a,
+                const std::vector<core::SessionSpec>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const core::SessionSpec& x, const core::SessionSpec& y) {
+                      return x.id == y.id && x.path.links == y.path.links &&
+                             x.demand == y.demand && x.weight == y.weight;
+                    });
+}
+
+}  // namespace
+
 InvariantChecker::InvariantChecker(const net::Network& net,
                                    const core::BneckConfig& cfg,
                                    const CheckOptions& opt)
@@ -21,9 +45,7 @@ void InvariantChecker::attach(core::BneckProtocol& bneck) {
 
 void InvariantChecker::fail(TimeNs t, const std::string& what) {
   if (!violation_.empty()) return;
-  std::ostringstream os;
-  os << "t=" << format_time(t) << ": " << what;
-  violation_ = os.str();
+  violation_ = message("t=", format_time(t), ": ", what);
 }
 
 TimeNs InvariantChecker::tx_time(const net::Link& l) const {
@@ -68,6 +90,9 @@ void InvariantChecker::on_burst(TimeNs t) {
   phase_packet_budget_ = 0;
   phase_quiescence_bound_ = kTimeNever;
   if (cfg_.loss_probability > 0) return;  // bounds assume reliable wires
+  // Only the budgets need the level count below (the model checker
+  // disarms both).
+  if (opt_.packet_slack <= 0 && opt_.quiescence_slack <= 0) return;
 
   // Structural inputs for the phase bounds: the number of bottleneck
   // levels the centralized solver predicts for the new session set, the
@@ -97,7 +122,9 @@ void InvariantChecker::on_burst(TimeNs t) {
             });
   std::size_t levels = 0;
   if (!specs.empty()) {
-    auto rates = core::solve_waterfill(net_, specs).rates;
+    burst_rates_ = core::solve_waterfill(net_, specs).rates;
+    burst_specs_ = std::move(specs);
+    std::vector<Rate> rates = burst_rates_;
     std::sort(rates.begin(), rates.end());
     for (std::size_t i = 0; i < rates.size(); ++i) {
       if (i == 0 || !rate_eq(rates[i], rates[i - 1], kRateCheckEps)) ++levels;
@@ -125,28 +152,24 @@ void InvariantChecker::on_packet_sent(TimeNs t, const core::Packet& p,
   ++phase_packets_;
   const auto it = sessions_.find(p.session);
   if (it == sessions_.end()) {
-    std::ostringstream os;
-    os << "packet " << core::packet_type_name(p.type)
-       << " for a session the schedule never joined (" << p.session << ")";
-    fail(t, os.str());
+    fail(t, message("packet ", core::packet_type_name(p.type),
+                    " for a session the schedule never joined (", p.session,
+                    ")"));
     return;
   }
   if (phase_dirty_ && phase_packet_budget_ > 0 &&
       phase_packets_ > phase_packet_budget_) {
-    std::ostringstream os;
-    os << "control-packet budget exceeded: " << phase_packets_
-       << " packets this phase (budget " << phase_packet_budget_
-       << ") — in-flight updates are not bounded";
-    fail(t, os.str());
+    fail(t, message("control-packet budget exceeded: ", phase_packets_,
+                    " packets this phase (budget ", phase_packet_budget_,
+                    ") — in-flight updates are not bounded"));
     return;
   }
   if (phase_dirty_ && phase_quiescence_bound_ != kTimeNever &&
       t > phase_quiescence_bound_) {
-    std::ostringstream os;
-    os << "still transmitting at " << format_time(t)
-       << ", past the quiescence bound " << format_time(phase_quiescence_bound_)
-       << " (last change at " << format_time(last_change_at_) << ")";
-    fail(t, os.str());
+    fail(t, message("still transmitting at ", format_time(t),
+                    ", past the quiescence bound ",
+                    format_time(phase_quiescence_bound_), " (last change at ",
+                    format_time(last_change_at_), ")"));
   }
 }
 
@@ -158,19 +181,16 @@ void InvariantChecker::on_rate_notified(TimeNs t, SessionId s, Rate r) {
     return;
   }
   const SessionInfo& info = it->second;
-  std::ostringstream os;
   if (std::isnan(r) || r < -kRateCheckEps) {
-    os << "API.Rate(" << s << ", " << r << "): negative/NaN rate";
-    fail(t, os.str());
+    fail(t, message("API.Rate(", s, ", ", r, "): negative/NaN rate"));
   } else if (!rate_le(r, info.demand, kRateCheckEps)) {
-    os << "API.Rate(" << s << ", " << format_rate(r)
-       << ") exceeds the session's demand " << format_rate(info.demand);
-    fail(t, os.str());
+    fail(t, message("API.Rate(", s, ", ", format_rate(r),
+                    ") exceeds the session's demand ",
+                    format_rate(info.demand)));
   } else if (!rate_le(r, info.min_capacity, kRateCheckEps)) {
-    os << "API.Rate(" << s << ", " << format_rate(r)
-       << ") exceeds the tightest link capacity on its path "
-       << format_rate(info.min_capacity);
-    fail(t, os.str());
+    fail(t, message("API.Rate(", s, ", ", format_rate(r),
+                    ") exceeds the tightest link capacity on its path ",
+                    format_rate(info.min_capacity)));
   }
 }
 
@@ -190,26 +210,22 @@ void InvariantChecker::audit_tables(TimeNs t, bool quiescent) {
     const core::RouterLink* rl = bneck_->router_link(e);
     BNECK_EXPECT(rl != nullptr, "active link without a RouterLink task");
     if (const std::string err = rl->table().audit(); !err.empty()) {
-      std::ostringstream os;
-      os << "link " << e << " table inconsistent with naive model: " << err;
-      fail(t, os.str());
+      fail(t, message("link ", e, " table inconsistent with naive model: ",
+                      err));
       return;
     }
-    bool bad = false;
-    std::ostringstream os;
+    std::string what;  // the first failed check's diagnostic
     rl->table().for_each([&](SessionId s, bool in_r, core::Mu mu, Rate lam) {
-      if (bad || !violation_.empty()) return;
+      if (!what.empty()) return;
       const auto it = sessions_.find(s);
       if (it == sessions_.end()) {
-        os << "link " << e << " tracks session " << s
-           << " the schedule never joined";
-        bad = true;
+        what = message("link ", e, " tracks session ", s,
+                       " the schedule never joined");
         return;
       }
       if (quiescent && !it->second.active) {
-        os << "departed session " << s << " still recorded at link " << e
-           << " at quiescence";
-        bad = true;
+        what = message("departed session ", s, " still recorded at link ", e,
+                       " at quiescence");
         return;
       }
       // Cross-validate the handle path (what the packet hot path uses)
@@ -217,14 +233,12 @@ void InvariantChecker::audit_tables(TimeNs t, bool quiescent) {
       // three must tell the same story for every field.
       core::LinkSessionTable::SessionHandle h = rl->table().find(s);
       if (!h.valid()) {
-        os << "link " << e << " iterates session " << s
-           << " that find() cannot resolve to a handle";
-        bad = true;
+        what = message("link ", e, " iterates session ", s,
+                       " that find() cannot resolve to a handle");
         return;
       }
       if (const std::string err = rl->table().audit_handle(h); !err.empty()) {
-        os << "link " << e << ": " << err;
-        bad = true;
+        what = message("link ", e, ": ", err);
         return;
       }
       if (rl->table().mu(h) != mu || rl->table().in_R(h) != in_r ||
@@ -234,22 +248,20 @@ void InvariantChecker::audit_tables(TimeNs t, bool quiescent) {
           rl->table().lambda(h) != rl->table().lambda(s) ||
           rl->table().weight(h) != rl->table().weight(s) ||
           rl->table().hop(h) != rl->table().hop(s)) {
-        os << "link " << e << " session " << s
-           << ": handle-path reads disagree with the id-path reads";
-        bad = true;
+        what = message("link ", e, " session ", s,
+                       ": handle-path reads disagree with the id-path reads");
         return;
       }
       const std::int32_t hop = rl->table().hop(h);
       const auto& links = it->second.path.links;
       if (hop < 0 || hop >= static_cast<std::int32_t>(links.size()) ||
           links[static_cast<std::size_t>(hop)] != e) {
-        os << "link " << e << " records hop " << hop << " for session " << s
-           << ", which does not match the session's path";
-        bad = true;
+        what = message("link ", e, " records hop ", hop, " for session ", s,
+                       ", which does not match the session's path");
       }
     });
-    if (bad) {
-      fail(t, os.str());
+    if (!what.empty()) {
+      fail(t, what);
       return;
     }
   }
@@ -263,12 +275,11 @@ void InvariantChecker::on_quiescent(TimeNs quiesced_at) {
   // Quiescence-time bound (armed only on reliable loss-free wires).
   if (phase_dirty_ && phase_quiescence_bound_ != kTimeNever &&
       quiesced_at > phase_quiescence_bound_) {
-    std::ostringstream os;
-    os << "quiesced at " << format_time(quiesced_at)
-       << ", past the structural bound "
-       << format_time(phase_quiescence_bound_) << " (last change at "
-       << format_time(last_change_at_) << ")";
-    fail(quiesced_at, os.str());
+    fail(quiesced_at,
+         message("quiesced at ", format_time(quiesced_at),
+                 ", past the structural bound ",
+                 format_time(phase_quiescence_bound_), " (last change at ",
+                 format_time(last_change_at_), ")"));
     return;
   }
 
@@ -280,10 +291,9 @@ void InvariantChecker::on_quiescent(TimeNs quiesced_at) {
 
   const auto specs = bneck_->active_specs();
   if (specs.size() != active_count_) {
-    std::ostringstream os;
-    os << "protocol reports " << specs.size() << " active sessions, schedule "
-       << "has " << active_count_;
-    fail(quiesced_at, os.str());
+    fail(quiesced_at, message("protocol reports ", specs.size(),
+                              " active sessions, schedule has ",
+                              active_count_));
     return;
   }
 
@@ -294,23 +304,27 @@ void InvariantChecker::on_quiescent(TimeNs quiesced_at) {
   for (const auto& spec : specs) {
     const auto got = bneck_->notified_rate(spec.id);
     if (!got.has_value()) {
-      std::ostringstream os;
-      os << "session " << spec.id << " active at quiescence but never "
-         << "received API.Rate";
-      fail(quiesced_at, os.str());
+      fail(quiesced_at, message("session ", spec.id,
+                                " active at quiescence but never received "
+                                "API.Rate"));
       return;
     }
     notified.push_back(*got);
   }
-  const auto sol = core::solve_waterfill(net_, specs);
+  // The burst's solution is reused only for exactly the specs it was
+  // computed from; any difference (a change the burst did not see, or a
+  // protocol that disagrees with the schedule) solves again.
+  std::vector<Rate> resolved;
+  const bool reuse = same_specs(specs, burst_specs_);
+  if (!reuse) resolved = core::solve_waterfill(net_, specs).rates;
+  const std::vector<Rate>& solved = reuse ? burst_rates_ : resolved;
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    const double tol = kRateCheckEps * std::max(1.0, sol.rates[i]);
-    if (std::fabs(notified[i] - sol.rates[i]) > tol) {
-      std::ostringstream os;
-      os << "session " << specs[i].id << " notified "
-         << format_rate(notified[i]) << " but the max-min allocation is "
-         << format_rate(sol.rates[i]);
-      fail(quiesced_at, os.str());
+    const double tol = kRateCheckEps * std::max(1.0, solved[i]);
+    if (std::fabs(notified[i] - solved[i]) > tol) {
+      fail(quiesced_at, message("session ", specs[i].id, " notified ",
+                                format_rate(notified[i]),
+                                " but the max-min allocation is ",
+                                format_rate(solved[i])));
       return;
     }
   }
@@ -335,29 +349,25 @@ void InvariantChecker::on_quiescent(TimeNs quiesced_at) {
     for (std::size_t h = first_router_hop; h < links.size(); ++h) {
       const core::RouterLink* rl = bneck_->router_link(links[h]);
       if (rl == nullptr || !rl->table().contains(specs[i].id)) {
-        std::ostringstream os;
-        os << "session " << specs[i].id << " missing from link " << links[h]
-           << " (hop " << h << ") at quiescence";
-        fail(quiesced_at, os.str());
+        fail(quiesced_at, message("session ", specs[i].id,
+                                  " missing from link ", links[h], " (hop ",
+                                  h, ") at quiescence"));
         return;
       }
       const double weight = rl->table().weight(specs[i].id);
       if (weight != specs[i].weight) {
-        std::ostringstream os;
-        os << "link " << links[h] << " records weight " << weight
-           << " for session " << specs[i].id << ", schedule announced "
-           << specs[i].weight;
-        fail(quiesced_at, os.str());
+        fail(quiesced_at, message("link ", links[h], " records weight ",
+                                  weight, " for session ", specs[i].id,
+                                  ", schedule announced ", specs[i].weight));
         return;
       }
       const Rate rate = rl->table().rate_of(specs[i].id);
       if (std::fabs(rate - notified[i]) >
           kRateCheckEps * std::max(1.0, notified[i])) {
-        std::ostringstream os;
-        os << "link " << links[h] << " records w·λ=" << format_rate(rate)
-           << " for session " << specs[i].id << ", allocated "
-           << format_rate(notified[i]);
-        fail(quiesced_at, os.str());
+        fail(quiesced_at, message("link ", links[h], " records w·λ=",
+                                  format_rate(rate), " for session ",
+                                  specs[i].id, ", allocated ",
+                                  format_rate(notified[i])));
         return;
       }
     }

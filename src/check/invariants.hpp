@@ -91,6 +91,9 @@ class InvariantChecker final : public core::TraceSink {
   void on_change(SessionId s, Rate demand, double weight);
   /// Called after a burst of same-timestamp API calls has been applied:
   /// recomputes the phase budgets (packet and quiescence-time bounds).
+  /// Solves the new session set only when a budget is armed; the
+  /// phase's on_quiescent reuses that solution if the protocol's active
+  /// specs are still exactly the ones solved.
   void on_burst(TimeNs t);
 
   // ---- run hooks ----
@@ -190,6 +193,12 @@ class InvariantChecker final : public core::TraceSink {
 
   std::uint64_t steps_since_audit_ = 0;
   int quiescent_phases_ = 0;
+
+  // on_burst's solver input and output, which on_quiescent reuses when
+  // the protocol's active specs are exactly these.  A memo, not state:
+  // it is outside State, and a stale entry can only miss.
+  std::vector<core::SessionSpec> burst_specs_;
+  std::vector<Rate> burst_rates_;
 };
 
 }  // namespace bneck::check

@@ -270,10 +270,16 @@ void BneckProtocol::send_upstream(Packet p, std::int32_t from_hop) {
 }
 
 BneckProtocol::Snapshot BneckProtocol::snapshot() const {
+  Snapshot snap;
+  snapshot_into(snap);
+  return snap;
+}
+
+void BneckProtocol::snapshot_into(Snapshot& snap) const {
   BNECK_EXPECT(owned_transport_ != nullptr && owned_transport_->lossless(),
                "protocol snapshots require the owned loss-free "
                "SimTransport binding");
-  Snapshot snap;
+  snap.sessions.clear();
   snap.sessions.reserve(sessions_.size());
   for (const SessionRt& rt : sessions_) {
     Snapshot::SessionState st;
@@ -285,9 +291,10 @@ BneckProtocol::Snapshot BneckProtocol::snapshot() const {
     if (st.active) st.source = rt.source->state();
     snap.sessions.push_back(st);
   }
-  snap.tables.reserve(active_links_.size());
-  for (const LinkId e : active_links_) {
-    snap.tables.push_back(router_link(e)->table().snapshot());
+  // resize() keeps the surviving tables' row storage for reuse.
+  snap.tables.resize(active_links_.size());
+  for (std::size_t i = 0; i < active_links_.size(); ++i) {
+    router_link(active_links_[i])->table().snapshot_into(snap.tables[i]);
   }
   snap.sources_in_use = sources_in_use_;
   snap.active_count = active_count_;
@@ -295,8 +302,7 @@ BneckProtocol::Snapshot BneckProtocol::snapshot() const {
   snap.last_packet_time = last_packet_time_;
   snap.packets_by_type = packets_by_type_;
   snap.total_probe_cycles = total_probe_cycles_;
-  snap.channel_busy = owned_transport_->channel_busy_snapshot();
-  return snap;
+  owned_transport_->channel_busy_snapshot(snap.channel_busy);
 }
 
 void BneckProtocol::restore(const Snapshot& snap) {

@@ -259,6 +259,10 @@ class BneckProtocol final : public Transport,
   };
 
   [[nodiscard]] Snapshot snapshot() const;
+  /// Fills `snap` in place, reusing its vectors' storage (snapshot() is
+  /// this into a fresh value) — the model checker's per-state fingerprint
+  /// path keeps one scratch Snapshot alive across calls.
+  void snapshot_into(Snapshot& snap) const;
   void restore(const Snapshot& snap);
 
   // ---- Transport (used by the tasks; not part of the public API) ----

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <sstream>
 
 namespace bneck::core {
@@ -230,8 +231,10 @@ void LinkSessionTable::idle_R_all(SessionId exclude,
 }
 
 std::string LinkSessionTable::audit() const {
-  std::ostringstream err;
-  const auto fail = [&err](auto&&... parts) {
+  // Diagnostics are formatted only once a check has failed: the pass
+  // path builds no stream and no string.
+  const auto fail = [](auto&&... parts) {
+    std::ostringstream err;
     ((err << parts), ...);
     return err.str();
   };
@@ -244,14 +247,21 @@ std::string LinkSessionTable::audit() const {
 
   // Naive reconstruction of every aggregate and index from recs_ alone.
   // Along the way, cross-validate the handle path against the id path:
-  // a fresh find() must resolve every iterated record to itself.
+  // a fresh find() must resolve every iterated record to itself.  The
+  // reconstruction buffers are per-thread scratch, reused across audits.
+  thread_local std::vector<std::pair<Rate, SessionId>> naive_idle_r;
+  thread_local std::vector<std::pair<Rate, SessionId>> naive_f;
+  thread_local std::vector<std::pair<Rate, SessionId>> got;
+  naive_idle_r.clear();
+  naive_f.clear();
   std::size_t naive_r = 0;
   long double naive_r_weight = 0;
   long double naive_f_sum = 0;
-  std::vector<std::pair<Rate, SessionId>> naive_idle_r;
-  std::vector<std::pair<Rate, SessionId>> naive_f;
-  bool bad_rec = false;
-  std::ostringstream bad_rec_what;
+  std::optional<std::ostringstream> bad_rec;  // opened by the first bad record
+  const auto bad = [&bad_rec]() -> std::ostringstream& {
+    if (!bad_rec) bad_rec.emplace();
+    return *bad_rec;
+  };
   recs_.for_each([&](SessionId s, const Rec& r) {
     if (r.in_r) {
       ++naive_r;
@@ -262,20 +272,17 @@ std::string LinkSessionTable::audit() const {
       naive_f.emplace_back(r.lambda, s);
     }
     if (std::isnan(r.lambda) || r.lambda < 0) {
-      bad_rec = true;
-      bad_rec_what << "session " << s << " has invalid lambda " << r.lambda;
+      bad() << "session " << s << " has invalid lambda " << r.lambda;
     }
     if (!(r.weight > 0) || !std::isfinite(r.weight)) {
-      bad_rec = true;
-      bad_rec_what << "session " << s << " has invalid weight " << r.weight;
+      bad() << "session " << s << " has invalid weight " << r.weight;
     }
     if (const SessionHandle h = find(s); h.rec_ != &r) {
-      bad_rec = true;
-      bad_rec_what << "handle path for session " << s
-                   << " resolves to a different record than the id path";
+      bad() << "handle path for session " << s
+            << " resolves to a different record than the id path";
     }
   });
-  if (bad_rec) return fail("record: ", bad_rec_what.str());
+  if (bad_rec) return fail("record: ", bad_rec->str());
   if (naive_r != r_count_) {
     return fail("|Re| aggregate ", r_count_, " != naive count ", naive_r);
   }
@@ -295,13 +302,12 @@ std::string LinkSessionTable::audit() const {
 
   // Each ordered index must hold exactly the naive (λ, s) multiset, with
   // exact (not tolerant) λ keys, in (rate, id) iteration order.
-  const auto check_index = [&](const Index& index, const char* name,
-                               std::vector<std::pair<Rate, SessionId>> want)
-      -> std::string {
+  const auto check_index =
+      [&fail](const Index& index, const char* name,
+              std::vector<std::pair<Rate, SessionId>>& want) -> std::string {
     std::sort(want.begin(), want.end());
-    std::vector<std::pair<Rate, SessionId>> got;
-    got.reserve(index.size());
-    index.for_each([&got](Rate l, SessionId s) { got.emplace_back(l, s); });
+    got.clear();
+    index.for_each([](Rate l, SessionId s) { got.emplace_back(l, s); });
     if (got.size() != index.size()) {
       return fail(name, ": size() ", index.size(), " != iterated ",
                   got.size());
@@ -311,17 +317,17 @@ std::string LinkSessionTable::audit() const {
     }
     if (got != want) {
       return fail(name, ": holds ", got.size(), " entries, naive model has ",
-                  want.size(), got != want && got.size() == want.size()
+                  want.size(), got.size() == want.size()
                                    ? " (same size, different content)"
                                    : "");
     }
     return std::string();
   };
-  if (auto e = check_index(idle_r_, "idle-Re index", std::move(naive_idle_r));
+  if (auto e = check_index(idle_r_, "idle-Re index", naive_idle_r);
       !e.empty()) {
     return e;
   }
-  if (auto e = check_index(f_, "Fe index", std::move(naive_f)); !e.empty()) {
+  if (auto e = check_index(f_, "Fe index", naive_f); !e.empty()) {
     return e;
   }
 
@@ -339,6 +345,12 @@ std::string LinkSessionTable::audit() const {
 
 LinkSessionTable::Snapshot LinkSessionTable::snapshot() const {
   Snapshot snap;
+  snapshot_into(snap);
+  return snap;
+}
+
+void LinkSessionTable::snapshot_into(Snapshot& snap) const {
+  snap.rows.clear();
   snap.rows.reserve(recs_.size());
   recs_.for_each([&snap](SessionId s, const Rec& r) {
     snap.rows.push_back(
@@ -352,7 +364,6 @@ LinkSessionTable::Snapshot LinkSessionTable::snapshot() const {
   snap.r_weight = r_weight_;
   snap.f_sum = f_sum_;
   snap.f_mutations = f_mutations_;
-  return snap;
 }
 
 void LinkSessionTable::restore(const Snapshot& snap) {
@@ -381,9 +392,9 @@ void LinkSessionTable::restore(const Snapshot& snap) {
 
 std::string LinkSessionTable::audit_handle(SessionHandle h) const {
   if (!h.valid()) return "null handle";
-  std::ostringstream err;
   const SessionHandle fresh = find(h.id());
   if (!fresh.valid()) {
+    std::ostringstream err;
     err << "handle for session " << h.id()
         << " which the table no longer contains";
     return err.str();
@@ -391,6 +402,7 @@ std::string LinkSessionTable::audit_handle(SessionHandle h) const {
   if (h.epoch_ == recs_.epoch() && fresh.rec_ != h.rec_) {
     // Same epoch means no slot can have moved, so a pointer mismatch is
     // real desynchronization, not a pending (legal) revalidation.
+    std::ostringstream err;
     err << "handle for session " << h.id()
         << " desynced: same epoch but a fresh lookup resolves to a "
         << "different record";

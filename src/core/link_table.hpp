@@ -338,6 +338,9 @@ class LinkSessionTable {
   };
 
   [[nodiscard]] Snapshot snapshot() const;
+  /// Fills `snap` in place, reusing its row storage (snapshot() is this
+  /// into a fresh value).
+  void snapshot_into(Snapshot& snap) const;
 
   /// Rewinds the table to a snapshot: records and both ordered indexes
   /// are rebuilt from the rows (membership rule: idle-Re index iff

@@ -82,7 +82,11 @@ class Explorer {
     if (res_.ok || depth < res_.witness_len) {
       res_.ok = false;
       res_.message = message;
-      res_.witness = path_;
+      // The witness text is formatted here, on failure only.
+      res_.witness.clear();
+      for (const Candidate& c : path_) {
+        res_.witness.push_back(world_.describe(c));
+      }
       res_.witness_len = depth;
     }
     // One violating schedule answers the verdict; only a minimal-witness
@@ -223,7 +227,7 @@ class Explorer {
           }
           z = std::move(nz);
         }
-        path_.push_back(world_.describe(c));
+        path_.push_back(c);
         world_.fire_inline(c);
         ++res_.transitions;
         ++depth;
@@ -251,7 +255,7 @@ class Explorer {
             if (independent(s, c)) child.push_back(s);
           }
         }
-        path_.push_back(world_.describe(c));
+        path_.push_back(c);
         out.merge(dfs(std::move(child), depth + 1));
         path_.pop_back();
         if (opt_.dpor) done.push_back(c);
@@ -265,7 +269,7 @@ class Explorer {
   McResult res_;
   std::unordered_map<std::uint64_t, VisitRecord> visited_;
   std::unordered_set<std::uint64_t> quiescent_fps_;
-  std::vector<std::string> path_;
+  std::vector<Candidate> path_;  // the deliveries leading here
   bool stopped_ = false;
 };
 

@@ -244,7 +244,8 @@ std::uint64_t World::fingerprint() const {
 
   // Pending deliveries, canonically ordered by (time, packet fields) —
   // seq excluded (see header).
-  std::vector<std::pair<TimeNs, core::Packet>> pending;
+  std::vector<std::pair<TimeNs, core::Packet>>& pending = fp_pending_;
+  pending.clear();
   sim_.for_each_pending(
       [&](TimeNs t, std::uint64_t /*seq*/, const sim::Event& ev) {
         BNECK_EXPECT(ev.is_delivery(),
@@ -262,7 +263,8 @@ std::uint64_t World::fingerprint() const {
     hash_packet(h, p);
   }
 
-  const core::BneckProtocol::Snapshot snap = bneck_.snapshot();
+  core::BneckProtocol::Snapshot& snap = fp_snap_;
+  bneck_.snapshot_into(snap);
 
   // Per-slot session state.  Slots are assigned in join order, which is
   // burst-deterministic, so slot indices align across interleavings.
@@ -294,7 +296,8 @@ std::uint64_t World::fingerprint() const {
   const std::vector<LinkId>& links = bneck_.active_links();
   BNECK_EXPECT(links.size() == snap.tables.size(),
                "table snapshot out of sync with active links");
-  std::vector<std::size_t> order;
+  std::vector<std::size_t>& order = fp_order_;
+  order.clear();
   for (std::size_t i = 0; i < links.size(); ++i) {
     const core::LinkSessionTable::Snapshot& tb = snap.tables[i];
     if (tb.rows.empty() && tb.r_count == 0 && tb.r_weight == 0 &&

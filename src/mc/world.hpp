@@ -153,7 +153,9 @@ class World {
   void step_canonical();
 
   /// FNV-1a fingerprint of the canonicalized world state (see header
-  /// comment).
+  /// comment).  Serializes through scratch buffers the World keeps
+  /// across calls, so it allocates nothing in steady state (and, like
+  /// every other World method, must not race with itself).
   [[nodiscard]] std::uint64_t fingerprint() const;
 
   [[nodiscard]] const std::string& violation() const { return violation_; }
@@ -186,6 +188,11 @@ class World {
   std::size_t next_event_ = 0;       // index into scenario_.events
   bool pending_validation_ = false;  // a burst's quiescence is unvalidated
   std::string violation_;
+
+  // fingerprint() scratch: contents are meaningless between calls.
+  mutable core::BneckProtocol::Snapshot fp_snap_;
+  mutable std::vector<std::pair<TimeNs, core::Packet>> fp_pending_;
+  mutable std::vector<std::size_t> fp_order_;
 };
 
 }  // namespace bneck::mc

@@ -78,12 +78,11 @@ class SimTransport final
   /// Busy horizons of every per-directed-link FIFO channel, in link-id
   /// order (model-checker snapshot seam).  Only meaningful on loss-free
   /// non-ARQ configurations, where the FIFO clocks are the transport's
-  /// whole mutable state.
-  [[nodiscard]] std::vector<TimeNs> channel_busy_snapshot() const {
-    std::vector<TimeNs> busy;
+  /// whole mutable state.  Fills `busy` in place, reusing its storage.
+  void channel_busy_snapshot(std::vector<TimeNs>& busy) const {
+    busy.clear();
     busy.reserve(channels_.size());
     for (const sim::FifoChannel& c : channels_) busy.push_back(c.busy_until());
-    return busy;
   }
   void restore_channel_busy(const std::vector<TimeNs>& busy) {
     BNECK_EXPECT(busy.size() == channels_.size(),

@@ -17,6 +17,8 @@
 #include "check/runner.hpp"
 #include "check/scenario.hpp"
 #include "check/shrink.hpp"
+#include "core/maxmin.hpp"
+#include "net/routing.hpp"
 
 namespace bneck::check {
 namespace {
@@ -223,6 +225,62 @@ TEST(CheckRunner, HandBuiltScenarioReportsPhases) {
   EXPECT_GT(r.events_processed, 0u);
 }
 
+// ---- one solver run per checked phase ----
+
+TEST(CheckSolveOnce, QuiescenceAfterAnUnannouncedChangeSolvesAgain) {
+  // on_burst solves for the session set it is shown, and on_quiescent
+  // may reuse that solution only for exactly the same specs.  Here a
+  // demand change lands after the burst was announced (no second
+  // on_burst), so the burst's 50/50 split is stale: the checker must
+  // solve again and agree exactly with the converged 12.5/87.5.
+  TopoSpec topo;
+  topo.kind = TopoKind::Dumbbell;
+  topo.a = 2;
+  topo.router_capacity = 100.0;
+  const net::Network net = build_network(topo);
+  const net::PathFinder paths(net);
+  sim::Simulator sim;
+  const core::BneckConfig cfg;
+  InvariantChecker chk(net, cfg, CheckOptions{});
+  core::BneckProtocol bneck(sim, net, cfg, &chk);
+  chk.attach(bneck);
+
+  apply_schedule_event(net, paths, chk, bneck,
+                       {0, EventKind::Join, 0, 0, 2, kRateInfinity});
+  apply_schedule_event(net, paths, chk, bneck,
+                       {0, EventKind::Join, 1, 1, 3, kRateInfinity});
+  chk.on_burst(0);
+  const auto burst_specs = bneck.active_specs();
+  apply_schedule_event(net, paths, chk, bneck,
+                       {0, EventKind::Change, 0, -1, -1, 12.5});
+  while (chk.ok() && sim.step()) chk.on_step(sim.now());
+  chk.on_quiescent(sim.last_event_time());
+
+  EXPECT_TRUE(chk.ok()) << chk.first_violation();
+  EXPECT_EQ(chk.quiescent_phases(), 1);
+  ASSERT_TRUE(bneck.notified_rate(SessionId{0}).has_value());
+  EXPECT_NEAR(*bneck.notified_rate(SessionId{0}), 12.5, 1e-9);
+  // The reused solution would have been wrong: the burst's specs solve
+  // to a different allocation.
+  EXPECT_NE(core::solve_waterfill(net, burst_specs).rates,
+            core::solve_waterfill(net, bneck.active_specs()).rates);
+}
+
+TEST(CheckSolveOnce, DisarmedBudgetsStillCheckEveryQuiescentPhase) {
+  // With both budgets off (the model checker's setting) on_burst does
+  // not solve at all; every quiescent phase still meets the solver.
+  CheckOptions opt;
+  opt.packet_slack = 0;
+  opt.quiescence_slack = 0;
+  const CampaignResult unbudgeted = run_seed_range(0, 60, 0, opt);
+  const CampaignResult armed = run_seed_range(0, 60, 0, CheckOptions{});
+  for (const CheckResult& f : unbudgeted.failures) {
+    ADD_FAILURE() << "seed " << f.seed << ": " << f.message;
+  }
+  EXPECT_EQ(unbudgeted.quiescent_phases, armed.quiescent_phases);
+  EXPECT_EQ(unbudgeted.packets_sent, armed.packets_sent);
+}
+
 // ---- the checker on the broken protocol (fault injection) ----
 
 CheckOptions fault_options() {
@@ -264,6 +322,29 @@ TEST(CheckFault, ShrinkerReducesAFailureToAHandfulOfEvents) {
   // ... and passes on the correct protocol (the failure is the fault's).
   const CheckResult good = run_scenario(shrunk.minimal, CheckOptions{});
   EXPECT_TRUE(good.ok) << good.message;
+}
+
+TEST(CheckFault, SingleKickReplayVerdictIsPinned) {
+  // The CI replay of the shrunk seed-21 failure: the full first-violation
+  // message, byte for byte.  The verdict does not depend on the
+  // calibrated budgets, so disarming them (as the model checker does)
+  // reports the same text.
+  const Scenario sc = parse_spec(
+      "v1 topo=line a=2 b=0 hpr=2 hosts=6 tseed=0 rcap=200 acap=100 wan=0 "
+      "loss=0 seed=21 ev=j@0:s0:h1>h2:dinf;"
+      "j@4038:s1:h0>h1:dinf:w1.4878569188546868;j@8873:s2:h3>h1:dinf;"
+      "j@40123:s3:h2>h1:d117.43183533083712:w1.7656079429989657");
+  const std::string want =
+      "t=82.598us: event queue drained but the network is not stable";
+  const CheckResult armed = run_scenario(sc, fault_options());
+  EXPECT_FALSE(armed.ok);
+  EXPECT_EQ(armed.message, want);
+  CheckOptions disarmed = fault_options();
+  disarmed.packet_slack = 0;
+  disarmed.quiescence_slack = 0;
+  const CheckResult unbudgeted = run_scenario(sc, disarmed);
+  EXPECT_FALSE(unbudgeted.ok);
+  EXPECT_EQ(unbudgeted.message, want);
 }
 
 TEST(CheckFault, ShrinkOfAPassingScenarioThrows) {
