@@ -10,7 +10,11 @@ using core::SourceNode;
 
 SourceClient::SourceClient(const net::Network& net, Endpoint daemon,
                            const ClientOptions& opts)
-    : net_(net), opts_(opts), transport_(0), daemon_(daemon) {
+    : net_(net),
+      opts_(opts),
+      transport_(0),
+      daemon_(daemon),
+      access_live_(static_cast<std::size_t>(net.link_count()), false) {
   transport_.bind(*this);
   transport_.set_peer(daemon_);
   transport_.enable_reliability(opts_.reliability);
@@ -46,10 +50,9 @@ void SourceClient::join(SessionId s, net::Path path, Rate demand,
                "path needs access links at both ends");
   const net::Link& first = net_.link(path.links.front());
   BNECK_EXPECT(net_.is_host(first.src), "path must start at a host");
-  for (const auto& [id, rec] : sessions_) {
-    BNECK_EXPECT(!rec.live || rec.path.links.front() != path.links.front(),
-                 "dedicated access: one live session per source host");
-  }
+  const auto access = static_cast<std::size_t>(path.links.front().value());
+  BNECK_EXPECT(!access_live_[access],
+               "dedicated access: one live session per source host");
 
   SessionRec rec;
   rec.slot = static_cast<std::int32_t>(sources_.size());
@@ -59,6 +62,7 @@ void SourceClient::join(SessionId s, net::Path path, Rate demand,
   const LinkId eta0 = rec.path.links.front();
   const auto [it, inserted] = sessions_.emplace(s, std::move(rec));
   BNECK_EXPECT(inserted, "session registry corrupt");
+  access_live_[access] = true;
   ++live_;
   SourceNode& src = sources_.emplace_back(
       s, eta0, first.capacity, /*emit_hop=*/0, *this,
@@ -86,6 +90,8 @@ void SourceClient::leave(SessionId s) {
   BNECK_EXPECT(rec.live, "double leave");
   sources_[static_cast<std::size_t>(rec.slot)].api_leave();
   rec.live = false;
+  access_live_[static_cast<std::size_t>(rec.path.links.front().value())] =
+      false;
   --live_;
 }
 

@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
+#include <vector>
 
 #include "base/slab.hpp"
 #include "core/source_node.hpp"
@@ -125,6 +126,9 @@ class SourceClient final : public core::Transport, public TransportSink {
 
   Slab<core::SourceNode> sources_;
   std::unordered_map<SessionId, SessionRec> sessions_;
+  /// Per link id: a live session owns this access link (dedicated
+  /// access), so join() checks it in O(1).
+  std::vector<bool> access_live_;
   std::uint32_t live_ = 0;
 
   std::uint64_t packets_sent_ = 0;

@@ -14,9 +14,10 @@
 // sequence number; out-of-order and duplicate data is dropped and
 // re-acked, go-back-N style).  The channel owns no socket — the owner
 // (transport::UdpTransport) supplies a raw byte-send callback, calls
-// on_data/on_ack as frames arrive, and pumps poll(now) so retransmit
-// timers fire.  Retransmission uses exponential backoff with seeded
-// jitter (deterministic per ReliableConfig::seed); a peer that stays
+// on_data/on_ack as frames arrive, acks once per receive batch, and
+// pumps poll(now) so retransmit timers fire.  Retransmission uses
+// exponential backoff with seeded jitter (deterministic per
+// ReliableConfig::seed); a peer that stays
 // silent through max_retries rounds marks the channel failed, which the
 // owner surfaces as a terminal error instead of retrying forever — the
 // client-side fix for the hung-Join failure mode.
@@ -80,8 +81,9 @@ class ReliableChannel {
   /// Receiver side: a Data frame with sequence `seq` arrived.  Returns
   /// true when it is the next in-order frame (deliver it); false for
   /// duplicates and out-of-order arrivals (drop it, the ack repairs the
-  /// sender).  The owner must send an Ack carrying expected() to the
-  /// peer after every call, fresh or stale.
+  /// sender).  The owner must send the peer an Ack carrying expected()
+  /// after every receive batch that contained a call, fresh or stale —
+  /// one cumulative ack covers the whole batch.
   [[nodiscard]] bool on_data(std::uint64_t seq);
 
   /// Sender side: a cumulative acknowledgement arrived.

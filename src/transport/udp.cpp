@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <poll.h>
+#include <sys/mman.h>
 #include <sys/socket.h>
 #include <time.h>
 #include <unistd.h>
@@ -11,6 +12,7 @@
 #include <array>
 #include <cerrno>
 #include <cstring>
+#include <memory>
 
 #include "base/expect.hpp"
 
@@ -146,7 +148,64 @@ bool UdpSocket::wait_readable(int timeout_ms) {
   }
 }
 
-UdpTransport::UdpTransport(std::uint16_t port) : socket_(port) {}
+// Per-transport batch scratch.  Each receive slot is two buffers: a
+// small head that holds every frame but a long Join, packed with the
+// other heads, and a tail in its own anonymous mapping, so tail pages
+// become resident only when a datagram reaches them and are never
+// recycled heap.  A slot is one byte longer than the largest legal
+// frame, so an oversized datagram arrives truncated and fails to
+// decode.
+struct UdpTransport::Io {
+  static constexpr std::size_t kHead = 256;
+  static constexpr std::size_t kTail = kMaxDatagram + 1 - kHead;
+
+  std::array<std::array<std::uint8_t, kHead>, kBatch> head{};
+  std::uint8_t* tail = static_cast<std::uint8_t*>(
+      ::mmap(nullptr, kBatch * kTail, PROT_READ | PROT_WRITE,
+             MAP_PRIVATE | MAP_ANONYMOUS, -1, 0));
+  std::vector<std::uint8_t> joined;  // a head + tail datagram, contiguous
+  std::array<mmsghdr, kBatch> rx{};
+  std::array<std::array<iovec, 2>, kBatch> rx_iov{};
+  std::array<sockaddr_in, kBatch> rx_addr{};
+  std::array<mmsghdr, kBatch> tx{};
+  std::array<iovec, kBatch> tx_iov{};
+  std::array<sockaddr_in, kBatch> tx_addr{};
+
+  Io() {
+    BNECK_EXPECT(tail != MAP_FAILED, "mmap of receive buffers failed");
+    for (std::size_t i = 0; i < kBatch; ++i) {
+      rx_iov[i][0] = {head[i].data(), kHead};
+      rx_iov[i][1] = {tail + i * kTail, kTail};
+      rx[i].msg_hdr.msg_iov = rx_iov[i].data();
+      rx[i].msg_hdr.msg_iovlen = 2;
+      rx[i].msg_hdr.msg_name = &rx_addr[i];
+      rx[i].msg_hdr.msg_namelen = sizeof(sockaddr_in);
+      tx[i].msg_hdr.msg_iov = &tx_iov[i];
+      tx[i].msg_hdr.msg_iovlen = 1;
+      tx[i].msg_hdr.msg_name = &tx_addr[i];
+      tx[i].msg_hdr.msg_namelen = sizeof(sockaddr_in);
+    }
+  }
+
+  ~Io() { ::munmap(tail, kBatch * kTail); }
+  Io(const Io&) = delete;
+  Io& operator=(const Io&) = delete;
+
+  /// The bytes of received datagram `i`.
+  std::span<const std::uint8_t> datagram(std::size_t i) {
+    const std::size_t len = rx[i].msg_len;
+    if (len <= kHead) return {head[i].data(), len};
+    joined.assign(head[i].begin(), head[i].end());
+    joined.insert(joined.end(), tail + i * kTail,
+                  tail + i * kTail + (len - kHead));
+    return joined;
+  }
+};
+
+UdpTransport::UdpTransport(std::uint16_t port)
+    : socket_(port), io_(std::make_unique<Io>()) {}
+
+UdpTransport::~UdpTransport() = default;
 
 void UdpTransport::bind(TransportSink& sink) {
   BNECK_EXPECT(sink_ == nullptr, "transport already bound");
@@ -172,23 +231,57 @@ ReliableChannel* UdpTransport::channel_for(const Endpoint& ep) {
   cfg.seed = reliable_cfg_.seed ^ EndpointHash{}(ep);  // decorrelate jitter
   const auto [pos, inserted] = channels_.try_emplace(
       ep, cfg, [this, ep](std::span<const std::uint8_t> bytes) {
-        raw_send(ep, bytes);
+        egress(ep, bytes);
         return true;  // a refused datagram is wire loss; timers repair it
       });
   return &pos->second;
 }
 
-void UdpTransport::raw_send(const Endpoint& to,
-                            std::span<const std::uint8_t> bytes) {
+void UdpTransport::egress(const Endpoint& to,
+                          std::span<const std::uint8_t> bytes) {
   if (fault_ != nullptr) {
     fault_->process(now(), to, bytes,
                     [this](const Endpoint& t,
                            std::span<const std::uint8_t> b) {
-                      if (socket_.send_to(t, b)) ++datagrams_sent_;
+                      enqueue(t, b);
                     });
     return;
   }
-  if (socket_.send_to(to, bytes)) ++datagrams_sent_;
+  enqueue(to, bytes);
+}
+
+void UdpTransport::enqueue(const Endpoint& to,
+                           std::span<const std::uint8_t> bytes) {
+  tx_.push_back({to, tx_bytes_.size(), bytes.size()});
+  tx_bytes_.insert(tx_bytes_.end(), bytes.begin(), bytes.end());
+  if (tx_.size() >= kBatch) flush();
+}
+
+void UdpTransport::flush() {
+  for (std::size_t first = 0; first < tx_.size();) {
+    const std::size_t n = std::min(kBatch, tx_.size() - first);
+    for (std::size_t i = 0; i < n; ++i) {
+      const Queued& q = tx_[first + i];
+      io_->tx_addr[i] = to_sockaddr(q.to);
+      io_->tx_iov[i] = {tx_bytes_.data() + q.offset, q.size};
+    }
+    for (std::size_t done = 0; done < n;) {
+      const int rc = ::sendmmsg(socket_.fd(), &io_->tx[done],
+                                static_cast<unsigned>(n - done), 0);
+      if (rc > 0) {
+        datagrams_sent_ += static_cast<std::uint64_t>(rc);
+        done += static_cast<std::size_t>(rc);
+        continue;
+      }
+      if (rc < 0 && errno == EINTR) continue;
+      // The kernel refused datagram `done` (EAGAIN on a full buffer, or
+      // ECONNREFUSED from a peer that went away): wire loss, skip it.
+      ++done;
+    }
+    first += n;
+  }
+  tx_.clear();
+  tx_bytes_.clear();
 }
 
 void UdpTransport::send(LinkId physical, const core::Packet& p) {
@@ -211,9 +304,10 @@ void UdpTransport::send(LinkId physical, const core::Packet& p) {
   if (reliable_) {
     ReliableChannel* ch = channel_for(*to);
     if (ch != nullptr) ch->send(encode_buf_, now());
-    return;
+  } else {
+    egress(*to, encode_buf_);
   }
-  raw_send(*to, encode_buf_);
+  if (!pumping_) flush();
 }
 
 void UdpTransport::local(const core::Packet& p) {
@@ -223,7 +317,8 @@ void UdpTransport::local(const core::Packet& p) {
 
 bool UdpTransport::send_frame(const Endpoint& to,
                               std::span<const std::uint8_t> bytes) {
-  raw_send(to, bytes);
+  egress(to, bytes);
+  if (!pumping_) flush();
   return true;
 }
 
@@ -235,49 +330,77 @@ void UdpTransport::drain_local() {
   }
 }
 
-std::size_t UdpTransport::drain_socket() {
-  std::array<std::uint8_t, kMaxDatagram + 1> buf;
-  std::size_t processed = 0;
-  Endpoint from;
-  std::ptrdiff_t n;
-  while ((n = socket_.recv_from(buf, from)) >= 0) {
-    ++datagrams_received_;
-    wire::DecodeResult r =
-        wire::decode({buf.data(), static_cast<std::size_t>(n)});
-    if (!r.ok()) {
-      ++decode_errors_;
-      last_decode_error_ = r.error;
-      continue;
-    }
-    if (r.frame.kind == wire::FrameKind::Ack) {
-      // Bookkeeping only: advance the sender window of an existing
-      // channel.  An ack from a stranger allocates nothing.
-      const auto it = channels_.find(from);
-      if (it != channels_.end()) it->second.on_ack(r.frame.seq, now());
-      continue;
-    }
-    if (r.frame.kind == wire::FrameKind::Data) {
-      ReliableChannel* ch = channel_for(from);
-      if (ch == nullptr) continue;  // peer table full, counted
-      const bool fresh = ch->on_data(r.frame.seq);
-      // Ack every arrival — fresh or stale — so a lost ack is repaired
-      // by the retransmission it provokes.
-      ack_buf_.clear();
-      wire::encode_ack(ch->expected(), ack_buf_);
-      raw_send(from, ack_buf_);
-      ++acks_sent_;
-      if (!fresh) continue;  // duplicate/out-of-order: channel counted it
-      r.frame.kind = wire::FrameKind::Packet;  // deliver the inner packet
-    }
-    ++processed;
-    if (frame_handler_) {
-      frame_handler_(r.frame, from);
-    } else if (r.frame.kind == wire::FrameKind::Packet) {
-      sink_->on_packet(r.frame.packet);
-    }
-    drain_local();  // handoffs triggered by this frame, FIFO
+std::size_t UdpTransport::recv_batch() {
+  for (;;) {
+    const int n = ::recvmmsg(socket_.fd(), io_->rx.data(),
+                             static_cast<unsigned>(kBatch), 0, nullptr);
+    if (n >= 0) return static_cast<std::size_t>(n);
+    // EINTR, or a queued ICMP error consuming the call: retry for real
+    // data (the kernel error queue is finite, so this terminates).
+    if (errno == EINTR || errno == ECONNREFUSED) continue;
+    return 0;  // EAGAIN and friends: nothing queued
   }
-  return processed;
+}
+
+std::size_t UdpTransport::drain_socket() {
+  std::size_t processed = 0;
+  for (;;) {
+    const std::size_t n = recv_batch();
+    datagrams_received_ += n;
+    for (std::size_t i = 0; i < n; ++i) {
+      const Endpoint from = from_sockaddr(io_->rx_addr[i]);
+      io_->rx[i].msg_hdr.msg_namelen = sizeof(sockaddr_in);  // for reuse
+      wire::DecodeResult r = wire::decode(io_->datagram(i));
+      if (!r.ok()) {
+        ++decode_errors_;
+        last_decode_error_ = r.error;
+        continue;
+      }
+      if (r.frame.kind == wire::FrameKind::Ack) {
+        // Bookkeeping only: advance the sender window of an existing
+        // channel.  An ack from a stranger allocates nothing.
+        const auto it = channels_.find(from);
+        if (it != channels_.end()) it->second.on_ack(r.frame.seq, now());
+        continue;
+      }
+      if (r.frame.kind == wire::FrameKind::Data) {
+        ReliableChannel* ch = channel_for(from);
+        if (ch == nullptr) continue;  // peer table full, counted
+        // Every Data arrival — fresh or stale — earns its peer the
+        // batch's ack, so a lost ack is repaired by the retransmission
+        // it provokes.
+        if (std::none_of(ack_due_.begin(), ack_due_.end(),
+                         [ch](const auto& d) { return d.second == ch; })) {
+          ack_due_.emplace_back(from, ch);
+        }
+        if (!ch->on_data(r.frame.seq)) {
+          continue;  // duplicate/out-of-order: channel counted it
+        }
+        r.frame.kind = wire::FrameKind::Packet;  // deliver the inner packet
+      }
+      ++processed;
+      if (frame_handler_) {
+        frame_handler_(r.frame, from);
+      } else if (r.frame.kind == wire::FrameKind::Packet) {
+        sink_->on_packet(r.frame.packet);
+      }
+      drain_local();  // handoffs triggered by this frame, FIFO
+    }
+    send_acks();
+    // A short batch emptied the socket; later arrivals wait for the
+    // next pump.
+    if (n < kBatch) return processed;
+  }
+}
+
+void UdpTransport::send_acks() {
+  for (const auto& [ep, ch] : ack_due_) {
+    ack_buf_.clear();
+    wire::encode_ack(ch->expected(), ack_buf_);
+    egress(ep, ack_buf_);
+    ++acks_sent_;
+  }
+  ack_due_.clear();
 }
 
 std::size_t UdpTransport::service_timers(TimeNs t) {
@@ -286,7 +409,7 @@ std::size_t UdpTransport::service_timers(TimeNs t) {
   if (fault_ != nullptr) {
     fault_->flush(t, [this](const Endpoint& to,
                             std::span<const std::uint8_t> b) {
-      if (socket_.send_to(to, b)) ++datagrams_sent_;
+      enqueue(to, b);
     });
   }
   return fired;
@@ -303,11 +426,23 @@ TimeNs UdpTransport::next_timer_deadline() const {
 
 std::size_t UdpTransport::pump(int timeout_ms) {
   BNECK_EXPECT(sink_ != nullptr, "transport not bound");
+  // Sends made while pumping only queue; the scope's end flushes them.
+  struct Scope {
+    UdpTransport& t;
+    explicit Scope(UdpTransport& tr) : t(tr) { t.pumping_ = true; }
+    ~Scope() {
+      t.pumping_ = false;
+      t.flush();
+    }
+    Scope(const Scope&) = delete;
+    Scope& operator=(const Scope&) = delete;
+  } scope(*this);
   std::size_t processed = pending_.size();
   drain_local();
   processed += drain_socket();
   service_timers(now());
   if (processed == 0 && timeout_ms > 0) {
+    flush();  // nothing waits in the queue while we block
     int wait_ms = timeout_ms;
     const TimeNs due = next_timer_deadline();
     if (due != kTimeNever) {

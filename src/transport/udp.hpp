@@ -10,7 +10,7 @@
 // pump().
 //
 // Unlike SimTransport there is no virtual time and no loss model: the
-// clock is CLOCK_MONOTONIC.  Reliability is explicit since PR 7:
+// clock is CLOCK_MONOTONIC.  Reliability is explicit:
 // enable_reliability() routes outbound Packet frames through a per-peer
 // transport::ReliableChannel (Data/Ack frames, retransmit timers,
 // dedup), and set_fault_injector() interposes a deterministic lossy
@@ -21,15 +21,27 @@
 // remain accepted for tests and hostile-ingress probing.  Decode
 // failures are counted and dropped — a hostile or corrupted datagram
 // must never take the process down.
+//
+// Datagrams move in batches of up to kBatch, still one frame each.
+// Ingress reads with recvmmsg; each receive batch ends with one
+// cumulative Ack per peer that sent any Data frame in it, fresh or
+// stale, so a stale arrival still provokes the ack that repairs its
+// sender.  Egress — reliable data and retransmits, acks, control
+// frames and the fault injector's releases — goes through one FIFO
+// queue flushed with sendmmsg: at the end of pump() and before it
+// blocks, and at the end of every send()/send_frame() made outside
+// pump().  No datagram stays queued when control returns to a caller.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/packet.hpp"
@@ -61,13 +73,13 @@ class UdpSocket {
 
   /// Sends one datagram, retrying EINTR.  Returns false when the kernel
   /// refused it (full buffer on a nonblocking socket, or an ICMP
-  /// port-unreachable surfaced as ECONNREFUSED); callers treat that as
-  /// wire loss, which the reliability sublayer repairs.
+  /// port-unreachable surfaced as ECONNREFUSED).  A raw-peer helper for
+  /// tests and hostile-ingress probes; UdpTransport sends in batches.
   bool send_to(const Endpoint& to, std::span<const std::uint8_t> bytes);
 
   /// Receives one datagram into `buf`, retrying EINTR and consuming
   /// queued ECONNREFUSED soft errors; returns its length, or -1 when
-  /// nothing is queued.
+  /// nothing is queued.  The raw-peer counterpart of send_to.
   std::ptrdiff_t recv_from(std::span<std::uint8_t> buf, Endpoint& from);
 
   /// Blocks up to `timeout_ms` for readability.  EINTR restarts the
@@ -103,9 +115,12 @@ class UdpTransport final : public LinkTransport {
   /// Reliability peer-table bound; a hostile address churn past this
   /// is counted (too_many_peers) and dropped, not allocated.
   static constexpr std::size_t kMaxPeers = 512;
+  /// Datagrams per recvmmsg/sendmmsg call.
+  static constexpr std::size_t kBatch = 32;
 
   /// Binds 127.0.0.1:`port` (0 = ephemeral).
   explicit UdpTransport(std::uint16_t port = 0);
+  ~UdpTransport() override;
 
   [[nodiscard]] Endpoint local_endpoint() const {
     return socket_.local_endpoint();
@@ -145,15 +160,18 @@ class UdpTransport final : public LinkTransport {
   [[nodiscard]] TimeNs now() const override;
   [[nodiscard]] std::uint64_t retransmissions() const override;
 
-  /// Encodes and sends a non-packet control frame (through the fault
-  /// injector when one is installed).
+  /// Sends an encoded non-packet control frame (through the fault
+  /// injector when one is installed).  Queued behind earlier egress;
+  /// outside pump() the queue is flushed before this returns.
   bool send_frame(const Endpoint& to, std::span<const std::uint8_t> bytes);
 
-  /// Drains the local-handoff queue, then every queued datagram, then
-  /// fires due retransmit timers and releases due held frames; when
-  /// nothing was processed, waits up to `timeout_ms` (clamped to the
-  /// earliest timer deadline) for the socket and drains again.  Returns
-  /// the number of frames + handoffs processed.
+  /// Drains the local-handoff queue, then the socket in receive batches
+  /// (each closed by its coalesced acks), then fires due retransmit
+  /// timers and releases due held frames; when nothing was processed,
+  /// flushes the egress queue and waits up to `timeout_ms` (clamped to
+  /// the earliest timer deadline) for the socket and drains again.
+  /// Returns, with the egress queue flushed, the number of frames +
+  /// handoffs processed.
   std::size_t pump(int timeout_ms);
 
   // -- reliability introspection --
@@ -172,6 +190,7 @@ class UdpTransport final : public LinkTransport {
   }
   [[nodiscard]] std::uint64_t decode_errors() const { return decode_errors_; }
   [[nodiscard]] std::uint64_t unroutable() const { return unroutable_; }
+  /// One per peer per receive batch that carried Data frames.
   [[nodiscard]] std::uint64_t acks_sent() const { return acks_sent_; }
   [[nodiscard]] std::uint64_t too_many_peers() const {
     return too_many_peers_;
@@ -181,17 +200,35 @@ class UdpTransport final : public LinkTransport {
   }
 
  private:
+  struct Io;  // recvmmsg/sendmmsg headers and receive buffers (udp.cpp)
+  /// One queued egress datagram: its bytes live in tx_bytes_.
+  struct Queued {
+    Endpoint to;
+    std::size_t offset;
+    std::size_t size;
+  };
+
   void drain_local();
   std::size_t drain_socket();
+  /// One recvmmsg into io_; returns the datagram count (0 when idle).
+  std::size_t recv_batch();
+  /// Queues one cumulative Ack per peer in ack_due_.
+  void send_acks();
   std::size_t service_timers(TimeNs t);
   [[nodiscard]] TimeNs next_timer_deadline() const;
-  /// Egress tail: fault injector (if armed), then the socket.
-  void raw_send(const Endpoint& to, std::span<const std::uint8_t> bytes);
+  /// Egress tail: fault injector (if armed), then the queue.
+  void egress(const Endpoint& to, std::span<const std::uint8_t> bytes);
+  /// Appends to the egress queue, flushing once a batch is full.
+  void enqueue(const Endpoint& to, std::span<const std::uint8_t> bytes);
+  /// Sends every queued datagram in FIFO order with sendmmsg; a refused
+  /// datagram is wire loss, which the reliability sublayer repairs.
+  void flush();
   /// Finds or creates the reliability channel for `ep`; nullptr when
   /// the peer table is full.
   ReliableChannel* channel_for(const Endpoint& ep);
 
   UdpSocket socket_;
+  std::unique_ptr<Io> io_;
   TransportSink* sink_ = nullptr;
   Endpoint peer_;
   PeerResolver peer_resolver_;
@@ -206,6 +243,11 @@ class UdpTransport final : public LinkTransport {
   std::deque<core::Packet> pending_;  // local() handoffs, FIFO
   std::vector<std::uint8_t> encode_buf_;
   std::vector<std::uint8_t> ack_buf_;
+  /// Peers owed an ack at the end of the current receive batch.
+  std::vector<std::pair<Endpoint, ReliableChannel*>> ack_due_;
+  std::vector<Queued> tx_;  // egress FIFO
+  std::vector<std::uint8_t> tx_bytes_;
+  bool pumping_ = false;  // inside pump(): its end flushes the queue
 
   std::uint64_t datagrams_sent_ = 0;
   std::uint64_t datagrams_received_ = 0;
