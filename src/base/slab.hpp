@@ -1,16 +1,17 @@
 // Stable-pointer slab arena for lazily constructed task objects.
 //
 // BneckProtocol owns one RouterLink per directed link that carries
-// sessions and one ArqChannel per lossy physical link — historically a
-// std::vector<std::unique_ptr<T>> indexed by link id: one heap
-// allocation per task, scattered addresses, and every full-network walk
-// (stability checks, retransmission counts) touching a pointer per
-// directed link whether or not the link ever carried traffic.
+// sessions, and SimTransport one SimArqLink per lossy physical link —
+// historically a std::vector<std::unique_ptr<T>> indexed by link id:
+// one heap allocation per task, scattered addresses, and every
+// full-network walk (stability checks, retransmission counts) touching
+// a pointer per directed link whether or not the link ever carried
+// traffic.
 //
 // Slab packs the objects into fixed-size chunks allocated once and
 // never moved, so
 //   * emplace_back() never invalidates references (RouterLink and
-//     ArqChannel are non-movable by design — they hand `this` to the
+//     SimArqLink are non-movable by design — they hand `this` to the
 //     transport/simulator);
 //   * neighbours in construction order are neighbours in memory, which
 //     is exactly the locality the per-packet dispatch wants (the links

@@ -75,7 +75,8 @@ struct BneckConfig {
   /// sessions (the paper assumes reliable links); combine with
   /// reliable_links to run B-Neck over lossy networks.
   double loss_probability = 0.0;
-  /// Runs every link through a go-back-N ARQ layer (transport/arq.hpp):
+  /// Runs every link through go-back-N ARQ (transport::SimArqLink over
+  /// the ReliableChannel core, transport/reliable.hpp):
   /// exactly-once in-order delivery over lossy links, still quiescent
   /// (no unacked data -> no timers, no traffic).
   bool reliable_links = false;

@@ -15,15 +15,16 @@
 // certified (bneck_rcv) AND the daemon's StatusReply to report a stable
 // router plane.
 //
-// Since PR 7 every packet rides a reliable channel (transport/
-// reliable.hpp): a dropped Join or Probe is retransmitted with
-// exponential backoff instead of stalling the protocol, and a daemon
-// that stays silent through the retry budget surfaces as failed() — a
-// terminal, queryable error in place of the old hung-Join hang.
-// nudge() remains as a belt-and-braces restart of every live session's
-// probe cycle.  poll() also emits periodic Heartbeat beacons so the
-// daemon's liveness sweep (DaemonOptions::session_expiry) can tell a
-// quiet-but-alive client from a crashed one.
+// Every packet rides a go-back-N channel (transport::ReliableChannel,
+// the core the simulator's reliable_links run too): a dropped Join or
+// Probe is retransmitted with exponential backoff instead of stalling
+// the protocol, and a daemon that stays silent through the retry
+// budget surfaces as failed() — a terminal, queryable error in place of
+// the old hung-Join hang.  nudge() remains as a belt-and-braces restart
+// of every live session's probe cycle.  poll() also emits periodic
+// Heartbeat beacons so the daemon's liveness sweep
+// (DaemonOptions::session_expiry) can tell a quiet-but-alive client
+// from a crashed one.
 #pragma once
 
 #include <cstdint>

@@ -1,5 +1,8 @@
 #include "transport/sim_transport.hpp"
 
+#include <algorithm>
+#include <limits>
+
 #include "base/expect.hpp"
 
 namespace bneck::transport {
@@ -22,21 +25,98 @@ void SimTransport::bind(TransportSink& sink) {
   sink_ = &sink;
 }
 
-ArqChannel& SimTransport::arq_channel_at(LinkId physical) {
+SimArqLink::SimArqLink(sim::Simulator& sim, TransportSink& sink,
+                       LinkId physical, sim::FifoChannel& data_channel,
+                       sim::FifoChannel& ack_channel, TimeNs data_tx,
+                       TimeNs data_prop, TimeNs ack_tx, TimeNs ack_prop,
+                       const ReliableConfig& cfg, double loss_probability,
+                       Rng rng)
+    : sim_(sim),
+      sink_(sink),
+      physical_(physical),
+      data_channel_(data_channel),
+      ack_channel_(ack_channel),
+      data_tx_(data_tx),
+      data_prop_(data_prop),
+      ack_tx_(ack_tx),
+      ack_prop_(ack_prop),
+      loss_(loss_probability),
+      rng_(rng),
+      channel_(cfg, [this](std::uint64_t seq, const core::Packet& p) {
+        wire_send(seq, p);
+      }) {
+  BNECK_EXPECT(loss_ >= 0.0 && loss_ < 1.0,
+               "loss probability must be in [0,1)");
+  data_rx_.self = this;
+  ack_rx_.self = this;
+}
+
+ReliableConfig SimArqLink::config(TimeNs round_trip) {
+  ReliableConfig cfg;
+  cfg.window = 32;
+  // The floor gives zero-delay test links a sane timer.
+  cfg.rto_initial = std::max<TimeNs>(4 * round_trip, microseconds(10));
+  cfg.backoff = 1.0;
+  cfg.jitter = 0.0;
+  cfg.max_retries = std::numeric_limits<std::int32_t>::max();
+  return cfg;
+}
+
+void SimArqLink::send(const core::Packet& p) {
+  const bool was_idle = channel_.idle();
+  channel_.send(p, sim_.now());
+  if (was_idle) rearm_timer();
+}
+
+void SimArqLink::wire_send(std::uint64_t seq, const core::Packet& p) {
+  sink_.on_wire(p, physical_);
+  const TimeNs arrival =
+      data_channel_.transmit(sim_.now(), data_tx_, data_prop_);
+  if (rng_.chance(loss_)) return;  // occupied the wire, never arrives
+  sim_.schedule_delivery_at(arrival, data_rx_, DataFrame{p, seq});
+}
+
+void SimArqLink::on_data(const DataFrame& f) {
+  if (channel_.on_data(f.seq)) sink_.on_packet(f.packet);
+  // Every arrival earns a cumulative ack, which also repairs lost acks.
+  const TimeNs arrival = ack_channel_.transmit(sim_.now(), ack_tx_, ack_prop_);
+  if (rng_.chance(loss_)) return;
+  sim_.schedule_delivery_at(arrival, ack_rx_, AckFrame{channel_.expected()});
+}
+
+void SimArqLink::on_ack(std::uint64_t cumulative) {
+  if (channel_.on_ack(cumulative, sim_.now())) rearm_timer();
+}
+
+void SimArqLink::rearm_timer() {
+  ++timer_generation_;  // a pending timer event is now stale
+  const TimeNs due = channel_.next_deadline();
+  if (due == kTimeNever) return;
+  sim_.schedule_at(due, [this, generation = timer_generation_] {
+    on_timer(generation);
+  });
+}
+
+void SimArqLink::on_timer(std::uint64_t generation) {
+  if (generation != timer_generation_) return;
+  if (channel_.poll(sim_.now()) > 0) rearm_timer();
+}
+
+SimArqLink& SimTransport::arq_link_at(LinkId physical) {
   std::int32_t& slot = arq_slot_[static_cast<std::size_t>(physical.value())];
   if (slot < 0) {
     const net::Link& l = net_.link(physical);
     const net::Link& rev = net_.link(l.reverse);
-    ArqConfig acfg;
-    acfg.loss_probability = cfg_.loss_probability;
+    const TimeNs data_tx = tx_time(l);
+    const TimeNs ack_tx = tx_time(rev);
     slot = static_cast<std::int32_t>(arq_arena_.size());
-    TransportSink* sink = sink_;
     arq_arena_.emplace_back(
-        sim_, channels_[static_cast<std::size_t>(physical.value())],
-        channels_[static_cast<std::size_t>(l.reverse.value())], tx_time(l),
-        l.prop_delay, tx_time(rev), rev.prop_delay, acfg, loss_rng_.fork(),
-        [sink](const Packet& p) { sink->on_packet(p); },
-        [sink, physical](const Packet& p) { sink->on_wire(p, physical); });
+        sim_, *sink_, physical,
+        channels_[static_cast<std::size_t>(physical.value())],
+        channels_[static_cast<std::size_t>(l.reverse.value())], data_tx,
+        l.prop_delay, ack_tx, rev.prop_delay,
+        SimArqLink::config(data_tx + l.prop_delay + ack_tx + rev.prop_delay),
+        cfg_.loss_probability, loss_rng_.fork());
   }
   return arq_arena_[static_cast<std::size_t>(slot)];
 }
@@ -52,7 +132,7 @@ std::uint64_t SimTransport::retransmissions() const {
 void SimTransport::send(LinkId physical, const core::Packet& p) {
   BNECK_EXPECT(sink_ != nullptr, "transport not bound");
   if (cfg_.reliable_links) {
-    arq_channel_at(physical).send(p);
+    arq_link_at(physical).send(p);
     return;
   }
   const net::Link& l = net_.link(physical);

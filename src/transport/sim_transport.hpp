@@ -6,10 +6,10 @@
 // link (sim::FifoChannel), occupies it for the control-packet
 // transmission time, propagates, and arrives as one allocation-free
 // typed event.  With `reliable_links` every physical link runs through
-// a go-back-N ArqChannel (transport/arq.hpp) instead — exactly-once
-// in-order delivery over lossy wires; with bare loss_probability > 0,
-// packets simply vanish (the paper's reliability assumption, violated
-// on purpose).
+// a SimArqLink instead — the go-back-N core (transport/reliable.hpp)
+// driven by simulator events, for exactly-once in-order delivery over
+// lossy wires; with bare loss_probability > 0, packets simply vanish
+// (the paper's reliability assumption, violated on purpose).
 //
 // This is the reference backend: every figure bench, golden trace and
 // fuzz campaign runs on it, and the refactor that introduced the seam
@@ -25,7 +25,7 @@
 #include "base/slab.hpp"
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
-#include "transport/arq.hpp"
+#include "transport/reliable.hpp"
 #include "transport/transport.hpp"
 
 namespace bneck::transport {
@@ -55,6 +55,85 @@ struct WireConfig {
                                    l.capacity +
                                0.5);
   }
+};
+
+/// One directed link's go-back-N driver: a ReliableChannel of
+/// core::Packet payloads over the simulator.  Data crosses
+/// `data_channel`, and the cumulative ack for every data arrival comes
+/// back over `ack_channel` (the reverse link), each as a typed event;
+/// every transmission, data or ack, is lost with `loss_probability`,
+/// drawn from the link's own Rng after it occupied the wire.  The
+/// retransmit timer is a simulator event at the channel's
+/// next_deadline(), re-scheduled whenever the channel re-arms.
+class SimArqLink {
+ public:
+  /// `data_tx`/`data_prop` time the forward link, `ack_tx`/`ack_prop`
+  /// the reverse one.  Sends and arrivals are reported to `sink` as
+  /// crossings of `physical`.
+  SimArqLink(sim::Simulator& sim, TransportSink& sink, LinkId physical,
+             sim::FifoChannel& data_channel, sim::FifoChannel& ack_channel,
+             TimeNs data_tx, TimeNs data_prop, TimeNs ack_tx,
+             TimeNs ack_prop, const ReliableConfig& cfg,
+             double loss_probability, Rng rng);
+
+  SimArqLink(const SimArqLink&) = delete;
+  SimArqLink& operator=(const SimArqLink&) = delete;
+
+  /// The simulator's go-back-N settings for a link whose round trip
+  /// (data out, ack back) takes `round_trip`: a fixed timeout of 4x the
+  /// round trip with a 10 us floor, no backoff, no jitter, a window of
+  /// 32 and no retry budget (a simulated peer never goes away).
+  [[nodiscard]] static ReliableConfig config(TimeNs round_trip);
+
+  /// Queues a packet for reliable in-order delivery at the far end.
+  void send(const core::Packet& p);
+
+  [[nodiscard]] std::uint64_t retransmissions() const {
+    return channel_.retransmissions();
+  }
+  [[nodiscard]] bool idle() const { return channel_.idle(); }
+
+ private:
+  // Wire frames cross the simulator as typed events (sim/event.hpp):
+  // data frames carry {packet, seq}, ack frames the cumulative sequence
+  // number — no allocation per transmission.
+  struct DataFrame {
+    core::Packet packet;
+    std::uint64_t seq;
+  };
+  struct AckFrame {
+    std::uint64_t cumulative;
+  };
+  static_assert(sizeof(DataFrame) <= sim::Event::kInlinePayloadBytes);
+  struct DataRx final : sim::DeliveryHandlerOf<DataRx, DataFrame> {
+    SimArqLink* self = nullptr;
+    void on_delivery(const DataFrame& f) { self->on_data(f); }
+  };
+  struct AckRx final : sim::DeliveryHandlerOf<AckRx, AckFrame> {
+    SimArqLink* self = nullptr;
+    void on_delivery(const AckFrame& f) { self->on_ack(f.cumulative); }
+  };
+
+  void wire_send(std::uint64_t seq, const core::Packet& p);
+  void on_data(const DataFrame& f);
+  void on_ack(std::uint64_t cumulative);
+  /// Invalidates the pending timer event and schedules one at the
+  /// channel's deadline, if it has one.
+  void rearm_timer();
+  void on_timer(std::uint64_t generation);
+
+  sim::Simulator& sim_;
+  TransportSink& sink_;
+  LinkId physical_;
+  sim::FifoChannel& data_channel_;
+  sim::FifoChannel& ack_channel_;
+  TimeNs data_tx_, data_prop_, ack_tx_, ack_prop_;
+  double loss_;
+  Rng rng_;
+  ReliableChannel<core::Packet> channel_;
+  std::uint64_t timer_generation_ = 0;
+  DataRx data_rx_;
+  AckRx ack_rx_;
 };
 
 class SimTransport final
@@ -93,14 +172,14 @@ class SimTransport final
   }
 
   /// True when this backend runs the paper's reliable loss-free wire —
-  /// the only configuration the model checker can snapshot (ARQ channel
+  /// the only configuration the model checker can snapshot (go-back-N
   /// state is not captured).
   [[nodiscard]] bool lossless() const {
     return !cfg_.reliable_links && cfg_.loss_probability == 0.0;
   }
 
  private:
-  ArqChannel& arq_channel_at(LinkId physical);
+  SimArqLink& arq_link_at(LinkId physical);
   [[nodiscard]] TimeNs tx_time(const net::Link& l) const {
     return cfg_.control_tx_time(l);
   }
@@ -112,10 +191,10 @@ class SimTransport final
   TransportSink* sink_ = nullptr;
 
   std::vector<sim::FifoChannel> channels_;  // per directed link
-  // ArqChannel objects live in a stable-address slab arena, constructed
+  // SimArqLink objects live in a stable-address slab arena, constructed
   // lazily in first-use order; a per-directed-link slot vector maps
   // link id -> arena slot (-1 = never instantiated).
-  Slab<ArqChannel> arq_arena_;
+  Slab<SimArqLink> arq_arena_;
   std::vector<std::int32_t> arq_slot_;
   Rng loss_rng_;
 };

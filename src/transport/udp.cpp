@@ -220,7 +220,8 @@ void UdpTransport::enable_reliability(const ReliableConfig& cfg) {
   reliable_cfg_ = cfg;
 }
 
-ReliableChannel* UdpTransport::channel_for(const Endpoint& ep) {
+UdpTransport::DatagramChannel* UdpTransport::channel_for(
+    const Endpoint& ep) {
   const auto it = channels_.find(ep);
   if (it != channels_.end()) return &it->second;
   if (channels_.size() >= kMaxPeers) {
@@ -230,9 +231,10 @@ ReliableChannel* UdpTransport::channel_for(const Endpoint& ep) {
   ReliableConfig cfg = reliable_cfg_;
   cfg.seed = reliable_cfg_.seed ^ EndpointHash{}(ep);  // decorrelate jitter
   const auto [pos, inserted] = channels_.try_emplace(
-      ep, cfg, [this, ep](std::span<const std::uint8_t> bytes) {
-        egress(ep, bytes);
-        return true;  // a refused datagram is wire loss; timers repair it
+      ep, cfg,
+      // A refused datagram is wire loss; the timers repair it.
+      [this, ep](std::uint64_t, const std::vector<std::uint8_t>& frame) {
+        egress(ep, frame);
       });
   return &pos->second;
 }
@@ -302,8 +304,12 @@ void UdpTransport::send(LinkId physical, const core::Packet& p) {
   }
   sink_->on_wire(p, physical);
   if (reliable_) {
-    ReliableChannel* ch = channel_for(*to);
-    if (ch != nullptr) ch->send(encode_buf_, now());
+    DatagramChannel* ch = channel_for(*to);
+    if (ch != nullptr) {
+      std::vector<std::uint8_t> frame;
+      wire::encode_data(ch->next_seq(), encode_buf_, frame);
+      ch->send(std::move(frame), now());
+    }
   } else {
     egress(*to, encode_buf_);
   }
@@ -364,7 +370,7 @@ std::size_t UdpTransport::drain_socket() {
         continue;
       }
       if (r.frame.kind == wire::FrameKind::Data) {
-        ReliableChannel* ch = channel_for(from);
+        DatagramChannel* ch = channel_for(from);
         if (ch == nullptr) continue;  // peer table full, counted
         // Every Data arrival — fresh or stale — earns its peer the
         // batch's ack, so a lost ack is repaired by the retransmission

@@ -200,6 +200,8 @@ class UdpTransport final : public LinkTransport {
   }
 
  private:
+  /// Per-peer go-back-N channel; its payloads are encoded Data frames.
+  using DatagramChannel = ReliableChannel<std::vector<std::uint8_t>>;
   struct Io;  // recvmmsg/sendmmsg headers and receive buffers (udp.cpp)
   /// One queued egress datagram: its bytes live in tx_bytes_.
   struct Queued {
@@ -225,7 +227,7 @@ class UdpTransport final : public LinkTransport {
   void flush();
   /// Finds or creates the reliability channel for `ep`; nullptr when
   /// the peer table is full.
-  ReliableChannel* channel_for(const Endpoint& ep);
+  DatagramChannel* channel_for(const Endpoint& ep);
 
   UdpSocket socket_;
   std::unique_ptr<Io> io_;
@@ -237,14 +239,14 @@ class UdpTransport final : public LinkTransport {
 
   bool reliable_ = false;
   ReliableConfig reliable_cfg_;
-  std::unordered_map<Endpoint, ReliableChannel, EndpointHash> channels_;
+  std::unordered_map<Endpoint, DatagramChannel, EndpointHash> channels_;
   FaultInjector* fault_ = nullptr;
 
   std::deque<core::Packet> pending_;  // local() handoffs, FIFO
   std::vector<std::uint8_t> encode_buf_;
   std::vector<std::uint8_t> ack_buf_;
   /// Peers owed an ack at the end of the current receive batch.
-  std::vector<std::pair<Endpoint, ReliableChannel*>> ack_due_;
+  std::vector<std::pair<Endpoint, DatagramChannel*>> ack_due_;
   std::vector<Queued> tx_;  // egress FIFO
   std::vector<std::uint8_t> tx_bytes_;
   bool pumping_ = false;  // inside pump(): its end flushes the queue

@@ -1,5 +1,7 @@
-// Tests for the go-back-N reliable link layer and for B-Neck over lossy
-// links (fault injection).
+// Tests for the simulator's go-back-N driver — SimArqLink, which runs
+// the ReliableChannel core (reliable_test.cpp tests it with explicit
+// clocks) over simulator events — and for B-Neck over lossy links
+// (fault injection).
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -8,30 +10,50 @@
 #include "core/maxmin.hpp"
 #include "net/routing.hpp"
 #include "topo/canonical.hpp"
-#include "transport/arq.hpp"
+#include "transport/sim_transport.hpp"
 
 namespace bneck::core {
 namespace {
 
-using transport::ArqChannel;
-using transport::ArqConfig;
+using transport::ReliableConfig;
+using transport::SimArqLink;
 
-// Unit harness: one ArqChannel over two FIFO channels with fixed delays.
-struct ArqHarness {
-  explicit ArqHarness(ArqConfig cfg = {}, std::uint64_t seed = 1)
-      : channel(sim, data, ack, /*data_tx=*/100, /*data_prop=*/1000,
-                /*ack_tx=*/100, /*ack_prop=*/1000, cfg, Rng(seed),
-                [this](const Packet& p) { delivered.push_back(p.session); },
-                [this](const Packet&) {
-                  ++wire_sends;
-                  wire_times.push_back(sim.now());
-                }) {}
+// The harness link's round trip: 100 ns transmission plus 1 us
+// propagation each way.
+constexpr TimeNs kRoundTrip = 2200;
 
-  Packet packet(int id) {
-    Packet p;
-    p.type = PacketType::Update;
-    p.session = SessionId{id};
-    return p;
+// Unit harness: one SimArqLink over two FIFO channels with fixed delays,
+// reporting to the harness as its TransportSink.
+struct ArqHarness final : transport::TransportSink {
+  explicit ArqHarness(
+      double loss = 0.0, std::uint64_t seed = 1,
+      const ReliableConfig& cfg = SimArqLink::config(kRoundTrip))
+      : link(sim, *this, LinkId{0}, data, ack, /*data_tx=*/100,
+             /*data_prop=*/1000, /*ack_tx=*/100, /*ack_prop=*/1000, cfg, loss,
+             Rng(seed)) {}
+
+  void on_wire(const Packet&, LinkId) override {
+    ++wire_sends;
+    wire_times.push_back(sim.now());
+  }
+  void on_packet(const Packet& p) override { delivered.push_back(p.session); }
+
+  void send(int count) {
+    for (int i = 0; i < count; ++i) {
+      Packet p;
+      p.type = PacketType::Update;
+      p.session = SessionId{i};
+      link.send(p);
+    }
+  }
+
+  /// Runs to idle; true when packets 0..count-1 arrived exactly once,
+  /// in order, and nothing is left unacked.
+  [[nodiscard]] bool delivers_exactly(int count) {
+    sim.run_until_idle();
+    std::vector<SessionId> want;
+    for (int i = 0; i < count; ++i) want.push_back(SessionId{i});
+    return delivered == want && link.idle();
   }
 
   sim::Simulator sim;
@@ -39,123 +61,103 @@ struct ArqHarness {
   std::vector<SessionId> delivered;
   std::uint64_t wire_sends = 0;
   std::vector<TimeNs> wire_times;
-  ArqChannel channel;
+  SimArqLink link;
 };
+
+ReliableConfig sim_config() { return SimArqLink::config(kRoundTrip); }
 
 TEST(Arq, DeliversInOrderWithoutLoss) {
   ArqHarness h;
-  for (int i = 0; i < 10; ++i) h.channel.send(h.packet(i));
-  h.sim.run_until_idle();
-  ASSERT_EQ(h.delivered.size(), 10u);
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(h.delivered[static_cast<std::size_t>(i)], SessionId{i});
-  EXPECT_EQ(h.channel.retransmissions(), 0u);
-  EXPECT_TRUE(h.channel.idle());
+  h.send(10);
+  EXPECT_TRUE(h.delivers_exactly(10));
+  EXPECT_EQ(h.wire_sends, 10u);
+  EXPECT_EQ(h.link.retransmissions(), 0u);
 }
 
 TEST(Arq, NoTrafficWhenNothingToSend) {
   ArqHarness h;
   h.sim.run_until_idle();
   EXPECT_EQ(h.wire_sends, 0u);
-  EXPECT_EQ(h.channel.acks_sent(), 0u);
+  EXPECT_EQ(h.sim.events_processed(), 0u);  // no timer, no ack
+  EXPECT_EQ(h.ack.busy_until(), 0);
+}
+
+TEST(Arq, CertainLossRejected) {
+  EXPECT_THROW(ArqHarness h(1.0), InvariantError);
+  EXPECT_THROW(ArqHarness h(-0.1), InvariantError);
 }
 
 TEST(Arq, WindowLimitsOutstandingData) {
-  ArqConfig cfg;
+  ReliableConfig cfg = sim_config();
   cfg.window = 4;
-  ArqHarness h(cfg);
-  for (int i = 0; i < 12; ++i) h.channel.send(h.packet(i));
+  ArqHarness h(0.0, 1, cfg);
+  h.send(12);
   // Before any ack returns, only the window's worth is on the wire.
   EXPECT_EQ(h.wire_sends, 4u);
-  h.sim.run_until_idle();
-  EXPECT_EQ(h.delivered.size(), 12u);
+  EXPECT_TRUE(h.delivers_exactly(12));
+  EXPECT_EQ(h.wire_sends, 12u);
 }
 
 TEST(Arq, RecoversFromHeavyDataLoss) {
-  ArqConfig cfg;
-  cfg.loss_probability = 0.4;
-  ArqHarness h(cfg, /*seed=*/7);
-  for (int i = 0; i < 50; ++i) h.channel.send(h.packet(i));
-  h.sim.run_until_idle();
-  ASSERT_EQ(h.delivered.size(), 50u);
-  for (int i = 0; i < 50; ++i) EXPECT_EQ(h.delivered[static_cast<std::size_t>(i)], SessionId{i});
-  EXPECT_GT(h.channel.retransmissions(), 0u);
-  EXPECT_GT(h.channel.losses(), 0u);
-  EXPECT_TRUE(h.channel.idle());
+  ArqHarness h(0.4, /*seed=*/7);
+  h.send(50);
+  EXPECT_TRUE(h.delivers_exactly(50));
+  EXPECT_GT(h.link.retransmissions(), 0u);
 }
 
 TEST(Arq, ExactlyOnceUnderLoss) {
   // Duplicates from retransmission must never reach the application.
-  ArqConfig cfg;
-  cfg.loss_probability = 0.3;
+  ReliableConfig cfg = sim_config();
   cfg.window = 8;
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-    ArqHarness h(cfg, seed);
-    for (int i = 0; i < 30; ++i) h.channel.send(h.packet(i));
-    h.sim.run_until_idle();
-    ASSERT_EQ(h.delivered.size(), 30u) << "seed " << seed;
-    for (int i = 0; i < 30; ++i) {
-      EXPECT_EQ(h.delivered[static_cast<std::size_t>(i)], SessionId{i})
-          << "seed " << seed;
-    }
+    ArqHarness h(0.3, seed, cfg);
+    h.send(30);
+    EXPECT_TRUE(h.delivers_exactly(30)) << "seed " << seed;
   }
 }
 
 TEST(Arq, SurvivesAckLossOnly) {
   // Loss hits acks as well as data; cumulative acks repair it.
-  ArqConfig cfg;
-  cfg.loss_probability = 0.5;
-  ArqHarness h(cfg, 99);
-  for (int i = 0; i < 20; ++i) h.channel.send(h.packet(i));
-  h.sim.run_until_idle();
-  EXPECT_EQ(h.delivered.size(), 20u);
-  EXPECT_TRUE(h.channel.idle());
+  ArqHarness h(0.5, 99);
+  h.send(20);
+  EXPECT_TRUE(h.delivers_exactly(20));
 }
 
 TEST(Arq, StopAndWaitWindowOne) {
-  ArqConfig cfg;
+  ReliableConfig cfg = sim_config();
   cfg.window = 1;
-  cfg.loss_probability = 0.25;
-  ArqHarness h(cfg, 5);
-  for (int i = 0; i < 15; ++i) h.channel.send(h.packet(i));
-  h.sim.run_until_idle();
-  ASSERT_EQ(h.delivered.size(), 15u);
-  for (int i = 0; i < 15; ++i) EXPECT_EQ(h.delivered[static_cast<std::size_t>(i)], SessionId{i});
+  ArqHarness h(0.25, 5, cfg);
+  h.send(15);
+  EXPECT_TRUE(h.delivers_exactly(15));
 }
 
 TEST(Arq, SimultaneousDataAndAckLossRecovers) {
   // At 50% symmetric loss, rounds where the data frame AND the repair
   // ack both vanish are common; the retransmit timer must dig the
   // window out of every such double hole, for every seed.  Backoff is
-  // on, so ack progress resetting the interval is exercised too.
-  ArqConfig cfg;
-  cfg.loss_probability = 0.5;
+  // on, so the driver must follow the core's moving deadline, and ack
+  // progress resetting the interval is exercised too.
+  ReliableConfig cfg = sim_config();
   cfg.window = 2;
   cfg.backoff = 2.0;
-  cfg.max_timeout = 200000;
+  cfg.rto_max = 200000;
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-    ArqHarness h(cfg, seed);
-    for (int i = 0; i < 10; ++i) h.channel.send(h.packet(i));
-    h.sim.run_until_idle();
-    ASSERT_EQ(h.delivered.size(), 10u) << "seed " << seed;
-    for (int i = 0; i < 10; ++i) {
-      EXPECT_EQ(h.delivered[static_cast<std::size_t>(i)], SessionId{i})
-          << "seed " << seed;
-    }
-    EXPECT_TRUE(h.channel.idle()) << "seed " << seed;
+    ArqHarness h(0.5, seed, cfg);
+    h.send(10);
+    EXPECT_TRUE(h.delivers_exactly(10)) << "seed " << seed;
   }
 }
 
 TEST(Arq, RetransmitBackoffGrowsAndCaps) {
-  // A black-hole wire (loss ~ 1) shows the bare timer cadence: with
-  // backoff=2 the retransmit gaps must double each silent round until
-  // the max_timeout ceiling.  The seeded Rng makes the trace exact.
-  ArqConfig cfg;
-  cfg.loss_probability = 0.999999;
-  cfg.timeout = 1000;
+  // A black-hole wire (loss ~ 1) shows the bare timer cadence through
+  // the simulator driver: with backoff=2 the retransmit gaps must
+  // double each silent round until the rto_max ceiling.
+  ReliableConfig cfg = sim_config();
+  cfg.rto_initial = 1000;
   cfg.backoff = 2.0;
-  cfg.max_timeout = 4000;
-  ArqHarness h(cfg, /*seed=*/3);
-  h.channel.send(h.packet(0));
+  cfg.rto_max = 4000;
+  ArqHarness h(0.999999, /*seed=*/3, cfg);
+  h.send(1);
   h.sim.run_until(16000);
   // Sends at t=0, 1000, 3000, 7000, 11000, ...: gaps 1, 2, 4, 4 us.
   ASSERT_GE(h.wire_times.size(), 5u);
@@ -163,66 +165,35 @@ TEST(Arq, RetransmitBackoffGrowsAndCaps) {
   EXPECT_EQ(h.wire_times[2] - h.wire_times[1], 2000);
   EXPECT_EQ(h.wire_times[3] - h.wire_times[2], 4000);
   EXPECT_EQ(h.wire_times[4] - h.wire_times[3], 4000);
-  EXPECT_EQ(h.delivered.size(), 0u);
-  EXPECT_GT(h.channel.retransmissions(), 0u);
+  EXPECT_TRUE(h.delivered.empty());
+  EXPECT_GT(h.link.retransmissions(), 0u);
 }
 
 TEST(Arq, BackoffedChannelStaysQuiescentWithoutLoss) {
   // Backoff must only engage on silent rounds: on a lossless wire a
   // backoffed channel behaves exactly like the fixed-interval one —
   // everything delivered first try, no retransmissions, then idle.
-  ArqConfig cfg;
+  ReliableConfig cfg = sim_config();
   cfg.backoff = 2.0;
-  cfg.max_timeout = 80000;
-  ArqHarness h(cfg);
-  for (int i = 0; i < 3; ++i) h.channel.send(h.packet(i));
-  h.sim.run_until_idle();
-  ASSERT_EQ(h.delivered.size(), 3u);
-  EXPECT_EQ(h.channel.retransmissions(), 0u);
-  EXPECT_TRUE(h.channel.idle());
+  cfg.rto_max = 80000;
+  ArqHarness h(0.0, 1, cfg);
+  h.send(3);
+  EXPECT_TRUE(h.delivers_exactly(3));
+  EXPECT_EQ(h.link.retransmissions(), 0u);
 }
 
-TEST(Arq, SequenceNumbersWrapThroughZero) {
-  // A channel started near 2^64 must wrap through zero without
-  // stalling, re-delivering or reordering — serial-number arithmetic
-  // end to end, including under loss.
-  ArqConfig cfg;
+TEST(Arq, WrapsThroughZeroUnderLoss) {
+  // A link started near 2^64 must wrap through zero without stalling,
+  // re-delivering or reordering while retransmissions straddle the
+  // wrap point.
+  ReliableConfig cfg = sim_config();
   cfg.first_seq = ~std::uint64_t{0} - 2;
   cfg.window = 4;
-  ArqHarness h(cfg);
-  for (int i = 0; i < 12; ++i) h.channel.send(h.packet(i));
-  h.sim.run_until_idle();
-  ASSERT_EQ(h.delivered.size(), 12u);
-  for (int i = 0; i < 12; ++i) {
-    EXPECT_EQ(h.delivered[static_cast<std::size_t>(i)], SessionId{i});
-  }
-  EXPECT_TRUE(h.channel.idle());
-
-  ArqConfig lossy = cfg;
-  lossy.loss_probability = 0.3;
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    ArqHarness hl(lossy, seed);
-    for (int i = 0; i < 20; ++i) hl.channel.send(hl.packet(i));
-    hl.sim.run_until_idle();
-    ASSERT_EQ(hl.delivered.size(), 20u) << "seed " << seed;
-    for (int i = 0; i < 20; ++i) {
-      EXPECT_EQ(hl.delivered[static_cast<std::size_t>(i)], SessionId{i})
-          << "seed " << seed;
-    }
-    EXPECT_TRUE(hl.channel.idle()) << "seed " << seed;
+    ArqHarness h(0.3, seed, cfg);
+    h.send(20);
+    EXPECT_TRUE(h.delivers_exactly(20)) << "seed " << seed;
   }
-}
-
-TEST(Arq, InvalidConfigRejected) {
-  ArqConfig cfg;
-  cfg.window = 0;
-  EXPECT_THROW(ArqHarness h(cfg), InvariantError);
-  ArqConfig cfg2;
-  cfg2.loss_probability = 1.0;
-  EXPECT_THROW(ArqHarness h2(cfg2), InvariantError);
-  ArqConfig cfg3;
-  cfg3.backoff = 0.5;
-  EXPECT_THROW(ArqHarness h3(cfg3), InvariantError);
 }
 
 // ---- B-Neck end-to-end over lossy links ----

@@ -1,10 +1,11 @@
-// Tests for the socket-facing reliability sublayer and the fault
-// injector behind compliance-under-faults: ReliableChannel's go-back-N
-// state machine driven by explicit clocks (window, backoff, jitter
-// determinism, retry-budget failure, sequence wraparound), the
-// FaultInjector's replayable schedules, and the end-to-end properties —
-// a client facing a dead daemon fails fast instead of hanging, and a
-// live daemon behind a faulty wire still converges to the solver rates.
+// Tests for the go-back-N core and the fault injector behind
+// compliance-under-faults: ReliableChannel's state machine driven by
+// explicit clocks (window, backoff, jitter determinism, retry-budget
+// failure, sequence wraparound, config validation), the FaultInjector's
+// replayable schedules, and the end-to-end socket properties — a client
+// facing a dead daemon fails fast instead of hanging, and a live daemon
+// behind a faulty wire still converges to the solver rates.  The
+// simulator's driver over the same core is tested in arq_test.cpp.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -35,26 +36,21 @@ std::vector<std::uint8_t> probe_frame(int session) {
   return buf;
 }
 
-// Unit harness: one ReliableChannel whose raw sends are captured for
-// inspection instead of hitting a socket.
+// Unit harness: one ReliableChannel whose transmissions are captured
+// for inspection instead of crossing a wire.  Payloads are plain ints
+// (the state machine never looks inside them); `accept` = false loses
+// every transmission, like a refusing kernel or a lossy wire.
 struct ChannelHarness {
-  std::vector<std::vector<std::uint8_t>> sent;
-  bool accept = true;  // false simulates a refusing kernel
-  ReliableChannel ch;
+  std::vector<std::uint64_t> sent;  // sequence number per transmission
+  bool accept = true;
+  ReliableChannel<int> ch;
 
   explicit ChannelHarness(const ReliableConfig& cfg)
-      : ch(cfg, [this](std::span<const std::uint8_t> bytes) {
-          if (accept) sent.emplace_back(bytes.begin(), bytes.end());
-          return accept;
+      : ch(cfg, [this](std::uint64_t seq, const int&) {
+          if (accept) sent.push_back(seq);
         }) {}
 
-  /// Sequence number of the i-th captured Data frame.
-  std::uint64_t seq_of(std::size_t i) {
-    const wire::DecodeResult r = wire::decode(sent.at(i));
-    EXPECT_TRUE(r.ok()) << r.error;
-    EXPECT_EQ(r.frame.kind, wire::FrameKind::Data);
-    return r.frame.seq;
-  }
+  std::uint64_t seq_of(std::size_t i) const { return sent.at(i); }
 };
 
 ReliableConfig no_jitter_config() {
@@ -69,18 +65,17 @@ TEST(ReliableChannel, WindowLimitsInFlightAndAcksSlideIt) {
   ReliableConfig cfg = no_jitter_config();
   cfg.window = 4;
   ChannelHarness h(cfg);
-  const auto frame = probe_frame(0);
-  for (int i = 0; i < 10; ++i) EXPECT_TRUE(h.ch.send(frame, 0));
+  for (int i = 0; i < 10; ++i) EXPECT_TRUE(h.ch.send(i, 0));
   ASSERT_EQ(h.sent.size(), 4u);  // only the window is on the wire
   for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(h.seq_of(i), i);
 
-  h.ch.on_ack(4, 0);  // first four delivered
-  ASSERT_EQ(h.sent.size(), 8u);  // next four admitted
+  EXPECT_TRUE(h.ch.on_ack(4, 0));  // first four delivered
+  ASSERT_EQ(h.sent.size(), 8u);    // next four admitted
   for (std::size_t i = 4; i < 8; ++i) EXPECT_EQ(h.seq_of(i), i);
 
-  h.ch.on_ack(8, 0);  // window slides again: the last two go out
+  EXPECT_TRUE(h.ch.on_ack(8, 0));  // window slides again: the last two go
   ASSERT_EQ(h.sent.size(), 10u);
-  h.ch.on_ack(10, 0);
+  EXPECT_TRUE(h.ch.on_ack(10, 0));
   EXPECT_TRUE(h.ch.idle());
   EXPECT_EQ(h.ch.next_deadline(), kTimeNever);  // quiescent: no timer
   EXPECT_EQ(h.ch.retransmissions(), 0u);
@@ -88,7 +83,7 @@ TEST(ReliableChannel, WindowLimitsInFlightAndAcksSlideIt) {
 
 TEST(ReliableChannel, RetransmitBackoffGrowsAndCaps) {
   ChannelHarness h(no_jitter_config());
-  ASSERT_TRUE(h.ch.send(probe_frame(0), 0));
+  ASSERT_TRUE(h.ch.send(0, 0));
   ASSERT_EQ(h.sent.size(), 1u);
 
   // No acks: deadlines must space out 1ms, 2ms, 4ms, 4ms (capped).
@@ -103,11 +98,29 @@ TEST(ReliableChannel, RetransmitBackoffGrowsAndCaps) {
     now = deadline;
   }
   EXPECT_EQ(h.ch.retransmissions(), 4u);
+  EXPECT_EQ(h.sent, std::vector<std::uint64_t>(5, 0));
 
   // Ack progress resets the backoff to the initial RTO.
-  ASSERT_TRUE(h.ch.send(probe_frame(1), now));
-  h.ch.on_ack(1, now);
+  ASSERT_TRUE(h.ch.send(1, now));
+  EXPECT_TRUE(h.ch.on_ack(1, now));
   EXPECT_EQ(h.ch.next_deadline(), now + milliseconds(1));
+}
+
+TEST(ReliableChannel, BackoffNeverShrinksBelowTheInitialRto) {
+  // A ceiling below the base timeout must not pull the backed-off RTO
+  // under it (min(2 * rto, ceiling) would retransmit faster and faster
+  // than the round trip allows).
+  ReliableConfig cfg = no_jitter_config();
+  cfg.rto_initial = milliseconds(4);
+  cfg.rto_max = milliseconds(1);
+  ChannelHarness h(cfg);
+  ASSERT_TRUE(h.ch.send(0, 0));
+  TimeNs now = 0;
+  for (int round = 0; round < 4; ++round) {
+    EXPECT_EQ(h.ch.next_deadline(), now + milliseconds(4));
+    now = h.ch.next_deadline();
+    EXPECT_EQ(h.ch.poll(now), 1u);
+  }
 }
 
 TEST(ReliableChannel, JitterScheduleIsDeterministicPerSeed) {
@@ -119,12 +132,11 @@ TEST(ReliableChannel, JitterScheduleIsDeterministicPerSeed) {
   cfg.seed = 99;
   ChannelHarness c(cfg);
 
-  const auto frame = probe_frame(0);
   std::vector<TimeNs> da, db, dc;
   TimeNs now = 0;
-  ASSERT_TRUE(a.ch.send(frame, now));
-  ASSERT_TRUE(b.ch.send(frame, now));
-  ASSERT_TRUE(c.ch.send(frame, now));
+  ASSERT_TRUE(a.ch.send(0, now));
+  ASSERT_TRUE(b.ch.send(0, now));
+  ASSERT_TRUE(c.ch.send(0, now));
   for (int round = 0; round < 5; ++round) {
     da.push_back(a.ch.next_deadline());
     db.push_back(b.ch.next_deadline());
@@ -144,7 +156,7 @@ TEST(ReliableChannel, FailsAfterRetryBudgetInsteadOfRetryingForever) {
   ReliableConfig cfg = no_jitter_config();
   cfg.max_retries = 3;
   ChannelHarness h(cfg);
-  ASSERT_TRUE(h.ch.send(probe_frame(0), 0));
+  ASSERT_TRUE(h.ch.send(0, 0));
 
   TimeNs now = 0;
   int rounds = 0;
@@ -157,15 +169,15 @@ TEST(ReliableChannel, FailsAfterRetryBudgetInsteadOfRetryingForever) {
   EXPECT_TRUE(h.ch.failed());
   EXPECT_EQ(rounds, cfg.max_retries + 1);  // budget, then the verdict
   EXPECT_EQ(h.ch.next_deadline(), kTimeNever);
-  EXPECT_FALSE(h.ch.send(probe_frame(1), now));  // terminal: sends drop
+  EXPECT_FALSE(h.ch.send(1, now));  // terminal: sends drop
 }
 
 TEST(ReliableChannel, AckProgressResetsTheFailureCountdown) {
   ReliableConfig cfg = no_jitter_config();
   cfg.max_retries = 2;
   ChannelHarness h(cfg);
-  ASSERT_TRUE(h.ch.send(probe_frame(0), 0));
-  ASSERT_TRUE(h.ch.send(probe_frame(1), 0));
+  ASSERT_TRUE(h.ch.send(0, 0));
+  ASSERT_TRUE(h.ch.send(1, 0));
 
   // Burn the budget down to its last round, then make progress.
   TimeNs now = h.ch.next_deadline();
@@ -173,7 +185,7 @@ TEST(ReliableChannel, AckProgressResetsTheFailureCountdown) {
   now = h.ch.next_deadline();
   h.ch.poll(now);
   ASSERT_FALSE(h.ch.failed());
-  h.ch.on_ack(1, now);  // one frame acked: the peer is alive
+  EXPECT_TRUE(h.ch.on_ack(1, now));  // one frame acked: the peer is alive
 
   // A fresh full budget must elapse before the channel gives up.
   int rounds = 0;
@@ -203,8 +215,7 @@ TEST(ReliableChannel, SequenceNumbersWrapThroughZero) {
   cfg.first_seq = ~std::uint64_t{0} - 1;  // 2^64 - 2
   cfg.window = 8;
   ChannelHarness h(cfg);
-  const auto frame = probe_frame(0);
-  for (int i = 0; i < 5; ++i) ASSERT_TRUE(h.ch.send(frame, 0));
+  for (int i = 0; i < 5; ++i) ASSERT_TRUE(h.ch.send(i, 0));
   ASSERT_EQ(h.sent.size(), 5u);
   EXPECT_EQ(h.seq_of(0), ~std::uint64_t{0} - 1);
   EXPECT_EQ(h.seq_of(1), ~std::uint64_t{0});
@@ -212,9 +223,10 @@ TEST(ReliableChannel, SequenceNumbersWrapThroughZero) {
   EXPECT_EQ(h.seq_of(3), 1u);
 
   // Cumulative ack from across the wrap point retires pre-wrap frames.
-  h.ch.on_ack(1, 0);
+  EXPECT_TRUE(h.ch.on_ack(1, 0));
   EXPECT_FALSE(h.ch.idle());
-  h.ch.on_ack(3, 0);
+  EXPECT_FALSE(h.ch.on_ack(~std::uint64_t{0}, 0));  // behind: stale
+  EXPECT_TRUE(h.ch.on_ack(3, 0));
   EXPECT_TRUE(h.ch.idle());
 
   // Receiver side wraps the same way.
@@ -232,12 +244,12 @@ TEST(ReliableChannel, IgnoresStaleAndFutureAcks) {
   ReliableConfig cfg = no_jitter_config();
   cfg.first_seq = 5;
   ChannelHarness h(cfg);
-  ASSERT_TRUE(h.ch.send(probe_frame(0), 0));
-  ASSERT_TRUE(h.ch.send(probe_frame(1), 0));
+  ASSERT_TRUE(h.ch.send(0, 0));
+  ASSERT_TRUE(h.ch.send(1, 0));
 
-  h.ch.on_ack(5, 0);    // stale: acks nothing new
-  h.ch.on_ack(4, 0);    // stale: behind the window
-  h.ch.on_ack(100, 0);  // hostile: acks frames never sent
+  EXPECT_FALSE(h.ch.on_ack(5, 0));    // stale: acks nothing new
+  EXPECT_FALSE(h.ch.on_ack(4, 0));    // stale: behind the window
+  EXPECT_FALSE(h.ch.on_ack(100, 0));  // hostile: acks frames never sent
   EXPECT_FALSE(h.ch.idle());
 
   // The timer still guards both frames: a due poll retransmits them.
@@ -248,8 +260,8 @@ TEST(ReliableChannel, IgnoresStaleAndFutureAcks) {
 
 TEST(ReliableChannel, RefusedDatagramsAreRepairedByTheTimer) {
   ChannelHarness h(no_jitter_config());
-  h.accept = false;  // kernel refuses the first transmission
-  ASSERT_TRUE(h.ch.send(probe_frame(0), 0));
+  h.accept = false;  // the first transmission never reaches the wire
+  ASSERT_TRUE(h.ch.send(0, 0));
   EXPECT_TRUE(h.sent.empty());
   h.accept = true;
   const TimeNs deadline = h.ch.next_deadline();
@@ -257,6 +269,19 @@ TEST(ReliableChannel, RefusedDatagramsAreRepairedByTheTimer) {
   EXPECT_EQ(h.ch.poll(deadline), 1u);
   ASSERT_EQ(h.sent.size(), 1u);
   EXPECT_EQ(h.seq_of(0), 0u);
+}
+
+TEST(ReliableChannel, InvalidConfigRejected) {
+  const auto rejects = [](auto mutate) {
+    ReliableConfig cfg;
+    mutate(cfg);
+    EXPECT_THROW(ChannelHarness h(cfg), InvariantError);
+  };
+  rejects([](ReliableConfig& c) { c.window = 0; });
+  rejects([](ReliableConfig& c) { c.rto_initial = 0; });
+  rejects([](ReliableConfig& c) { c.backoff = 0.5; });
+  rejects([](ReliableConfig& c) { c.jitter = 1.0; });
+  rejects([](ReliableConfig& c) { c.max_retries = 0; });
 }
 
 // ---- fault injector ----

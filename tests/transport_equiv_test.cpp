@@ -15,6 +15,9 @@
 // through the seam constructor with an externally owned SimTransport.
 // All six traces must equal the pre-seam bytes exactly: same packets,
 // same order, same timestamps, same loss-RNG draws.
+//
+// A fourth trace pins the go-back-N layer (reliable_links, 20% loss),
+// whose retransmissions show up as repeated wire sends.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -337,7 +340,144 @@ constexpr const char kGoldenSharedTrace[] =
 463.003us  SetBottleneck  s=0  link=13  hop=5  beta=true
 )trace";
 
-// All three scenarios run on the same 3-link parking lot.
+constexpr const char kGoldenLossyArqTrace[] =
+    R"trace(0ns  Join  s=0  link=6  hop=1  lambda=60.00 Mbps  eta=6
+0ns  Join  s=1  link=8  hop=1  lambda=45.00 Mbps  eta=8
+9.533us  Join  s=0  link=0  hop=2  lambda=60.00 Mbps  eta=6
+9.533us  Join  s=1  link=2  hop=2  lambda=45.00 Mbps  eta=8
+15.653us  Join  s=0  link=2  hop=3  lambda=50.00 Mbps  eta=2
+15.653us  Join  s=1  link=11  hop=3  lambda=45.00 Mbps  eta=8
+25.186us  Response  s=1  link=10  hop=2  tau=RESPONSE  lambda=45.00 Mbps  eta=8
+34.719us  Response  s=1  link=3  hop=1  tau=RESPONSE  lambda=45.00 Mbps  eta=8
+40.839us  Response  s=1  link=9  hop=0  tau=RESPONSE  lambda=45.00 Mbps  eta=8
+70.733us  Join  s=0  link=2  hop=3  lambda=50.00 Mbps  eta=2
+76.264us  Join  s=0  link=6  hop=1  lambda=60.00 Mbps  eta=6
+76.853us  Join  s=0  link=4  hop=4  lambda=50.00 Mbps  eta=2
+82.973us  Join  s=0  link=13  hop=5  lambda=50.00 Mbps  eta=2
+92.506us  Response  s=0  link=12  hop=4  tau=RESPONSE  lambda=50.00 Mbps  eta=2
+102.039us  Response  s=0  link=5  hop=3  tau=RESPONSE  lambda=50.00 Mbps  eta=2
+117.103us  Response  s=1  link=9  hop=0  tau=RESPONSE  lambda=45.00 Mbps  eta=8
+126.636us  API.Rate  s=1  rate=45.00 Mbps
+126.636us  SetBottleneck  s=1  link=8  hop=1  beta=true
+150.999us  Response  s=0  link=5  hop=3  tau=RESPONSE  lambda=50.00 Mbps  eta=2
+157.119us  Response  s=0  link=3  hop=2  tau=RESPONSE  lambda=50.00 Mbps  eta=2
+202.900us  SetBottleneck  s=1  link=8  hop=1  beta=true
+206.079us  Response  s=0  link=3  hop=2  tau=RESPONSE  lambda=50.00 Mbps  eta=2
+212.199us  Response  s=0  link=1  hop=1  tau=RESPONSE  lambda=50.00 Mbps  eta=2
+212.433us  Update  s=0  link=1  hop=1
+212.433us  SetBottleneck  s=1  link=2  hop=2  beta=true
+218.319us  Response  s=0  link=7  hop=0  tau=RESPONSE  lambda=50.00 Mbps  eta=2
+223.439us  Update  s=0  link=7  hop=0
+223.439us  SetBottleneck  s=1  link=11  hop=3  beta=true
+236.385us  Probe  s=0  link=6  hop=1  lambda=60.00 Mbps  eta=6
+245.918us  Probe  s=0  link=0  hop=2  lambda=60.00 Mbps  eta=6
+261.393us  SetBottleneck  s=1  link=2  hop=2  beta=true
+294.878us  Probe  s=0  link=0  hop=2  lambda=60.00 Mbps  eta=6
+299.703us  SetBottleneck  s=1  link=11  hop=3  beta=true
+343.838us  Probe  s=0  link=0  hop=2  lambda=60.00 Mbps  eta=6
+349.958us  Probe  s=0  link=2  hop=3  lambda=55.00 Mbps  eta=2
+356.078us  Probe  s=0  link=4  hop=4  lambda=55.00 Mbps  eta=2
+362.198us  Probe  s=0  link=13  hop=5  lambda=55.00 Mbps  eta=2
+371.731us  Response  s=0  link=12  hop=4  tau=RESPONSE  lambda=55.00 Mbps  eta=2
+375.967us  SetBottleneck  s=1  link=11  hop=3  beta=true
+398.918us  Probe  s=0  link=2  hop=3  lambda=55.00 Mbps  eta=2
+447.995us  Response  s=0  link=12  hop=4  tau=RESPONSE  lambda=55.00 Mbps  eta=2
+457.528us  Response  s=0  link=5  hop=3  tau=RESPONSE  lambda=55.00 Mbps  eta=2
+463.648us  Response  s=0  link=3  hop=2  tau=RESPONSE  lambda=55.00 Mbps  eta=2
+469.768us  Response  s=0  link=1  hop=1  tau=BOTTLENECK  lambda=55.00 Mbps  eta=2
+518.728us  Response  s=0  link=1  hop=1  tau=BOTTLENECK  lambda=55.00 Mbps  eta=2
+524.259us  Response  s=0  link=12  hop=4  tau=RESPONSE  lambda=55.00 Mbps  eta=2
+524.848us  Response  s=0  link=7  hop=0  tau=BOTTLENECK  lambda=55.00 Mbps  eta=2
+600.523us  Response  s=0  link=12  hop=4  tau=RESPONSE  lambda=55.00 Mbps  eta=2
+601.112us  Response  s=0  link=7  hop=0  tau=BOTTLENECK  lambda=55.00 Mbps  eta=2
+610.645us  API.Rate  s=0  rate=55.00 Mbps
+610.645us  SetBottleneck  s=0  link=6  hop=1  beta=false
+677.376us  Response  s=0  link=7  hop=0  tau=BOTTLENECK  lambda=55.00 Mbps  eta=2
+686.909us  SetBottleneck  s=0  link=6  hop=1  beta=false
+696.442us  SetBottleneck  s=0  link=0  hop=2  beta=false
+702.562us  SetBottleneck  s=0  link=2  hop=3  beta=true
+708.682us  SetBottleneck  s=0  link=4  hop=4  beta=true
+714.802us  SetBottleneck  s=0  link=13  hop=5  beta=true
+753.640us  Response  s=0  link=7  hop=0  tau=BOTTLENECK  lambda=55.00 Mbps  eta=2
+829.904us  Join  s=2  link=10  hop=1  lambda=60.00 Mbps  eta=10
+839.437us  Join  s=2  link=3  hop=2  lambda=60.00 Mbps  eta=10
+845.557us  Join  s=2  link=1  hop=3  lambda=60.00 Mbps  eta=10
+851.677us  Join  s=2  link=7  hop=4  lambda=60.00 Mbps  eta=10
+861.210us  Response  s=2  link=6  hop=3  tau=RESPONSE  lambda=60.00 Mbps  eta=10
+870.743us  Response  s=2  link=0  hop=2  tau=BOTTLENECK  lambda=60.00 Mbps  eta=7
+876.863us  Response  s=2  link=2  hop=1  tau=BOTTLENECK  lambda=60.00 Mbps  eta=7
+882.983us  Response  s=2  link=11  hop=0  tau=BOTTLENECK  lambda=60.00 Mbps  eta=7
+925.823us  Response  s=2  link=2  hop=1  tau=BOTTLENECK  lambda=60.00 Mbps  eta=7
+959.247us  Response  s=2  link=11  hop=0  tau=BOTTLENECK  lambda=60.00 Mbps  eta=7
+1.036ms  Response  s=2  link=11  hop=0  tau=BOTTLENECK  lambda=60.00 Mbps  eta=7
+1.112ms  Response  s=2  link=11  hop=0  tau=BOTTLENECK  lambda=60.00 Mbps  eta=7
+1.188ms  Response  s=2  link=11  hop=0  tau=BOTTLENECK  lambda=60.00 Mbps  eta=7
+1.198ms  API.Rate  s=2  rate=60.00 Mbps
+1.198ms  SetBottleneck  s=2  link=10  hop=1  beta=true
+1.207ms  SetBottleneck  s=2  link=3  hop=2  beta=true
+1.213ms  SetBottleneck  s=2  link=1  hop=3  beta=true
+1.219ms  SetBottleneck  s=2  link=7  hop=4  beta=true
+1.274ms  SetBottleneck  s=2  link=10  hop=1  beta=true
+1.296ms  SetBottleneck  s=2  link=7  hop=4  beta=true
+1.372ms  SetBottleneck  s=2  link=7  hop=4  beta=true
+1.448ms  Probe  s=1  link=8  hop=1  lambda=10.00 Mbps  eta=8
+1.458ms  Update  s=0  link=1  hop=1
+1.458ms  Probe  s=1  link=2  hop=2  lambda=10.00 Mbps  eta=8
+1.464ms  Update  s=0  link=7  hop=0
+1.464ms  Probe  s=1  link=11  hop=3  lambda=10.00 Mbps  eta=8
+1.473ms  Probe  s=0  link=6  hop=1  lambda=60.00 Mbps  eta=6
+1.473ms  Response  s=1  link=10  hop=2  tau=RESPONSE  lambda=10.00 Mbps  eta=8
+1.483ms  Probe  s=0  link=0  hop=2  lambda=60.00 Mbps  eta=6
+1.483ms  Response  s=1  link=3  hop=1  tau=RESPONSE  lambda=10.00 Mbps  eta=8
+1.489ms  Response  s=1  link=9  hop=0  tau=RESPONSE  lambda=10.00 Mbps  eta=8
+1.499ms  API.Rate  s=1  rate=10.00 Mbps
+1.499ms  SetBottleneck  s=1  link=8  hop=1  beta=true
+1.507ms  Update  s=0  link=1  hop=1
+1.532ms  Probe  s=0  link=0  hop=2  lambda=60.00 Mbps  eta=6
+1.540ms  Probe  s=1  link=11  hop=3  lambda=10.00 Mbps  eta=8
+1.550ms  Probe  s=0  link=6  hop=1  lambda=60.00 Mbps  eta=6
+1.575ms  SetBottleneck  s=1  link=8  hop=1  beta=true
+1.581ms  Probe  s=0  link=0  hop=2  lambda=60.00 Mbps  eta=6
+1.584ms  SetBottleneck  s=1  link=2  hop=2  beta=true
+1.590ms  SetBottleneck  s=1  link=11  hop=3  beta=true
+1.616ms  Probe  s=1  link=11  hop=3  lambda=10.00 Mbps  eta=8
+1.616ms  SetBottleneck  s=1  link=11  hop=3  beta=true
+1.630ms  Probe  s=0  link=0  hop=2  lambda=60.00 Mbps  eta=6
+1.633ms  SetBottleneck  s=1  link=2  hop=2  beta=true
+1.651ms  SetBottleneck  s=1  link=8  hop=1  beta=true
+1.679ms  Probe  s=0  link=0  hop=2  lambda=60.00 Mbps  eta=6
+1.685ms  Probe  s=0  link=2  hop=3  lambda=60.00 Mbps  eta=6
+1.691ms  Probe  s=0  link=4  hop=4  lambda=60.00 Mbps  eta=6
+1.697ms  Probe  s=0  link=13  hop=5  lambda=60.00 Mbps  eta=6
+1.707ms  Response  s=0  link=12  hop=4  tau=RESPONSE  lambda=60.00 Mbps  eta=6
+1.716ms  Response  s=0  link=5  hop=3  tau=BOTTLENECK  lambda=60.00 Mbps  eta=13
+1.765ms  Response  s=0  link=5  hop=3  tau=BOTTLENECK  lambda=60.00 Mbps  eta=13
+1.771ms  Response  s=0  link=3  hop=2  tau=BOTTLENECK  lambda=60.00 Mbps  eta=13
+1.777ms  Response  s=0  link=1  hop=1  tau=BOTTLENECK  lambda=60.00 Mbps  eta=13
+1.783ms  Response  s=0  link=12  hop=4  tau=RESPONSE  lambda=60.00 Mbps  eta=6
+1.783ms  Response  s=0  link=7  hop=0  tau=BOTTLENECK  lambda=60.00 Mbps  eta=13
+1.793ms  API.Rate  s=0  rate=60.00 Mbps
+1.793ms  SetBottleneck  s=0  link=6  hop=1  beta=true
+1.859ms  Response  s=0  link=12  hop=4  tau=RESPONSE  lambda=60.00 Mbps  eta=6
+1.860ms  Response  s=0  link=7  hop=0  tau=BOTTLENECK  lambda=60.00 Mbps  eta=13
+1.869ms  SetBottleneck  s=0  link=6  hop=1  beta=true
+1.946ms  SetBottleneck  s=0  link=6  hop=1  beta=true
+2.022ms  SetBottleneck  s=0  link=6  hop=1  beta=true
+2.031ms  SetBottleneck  s=0  link=0  hop=2  beta=true
+2.037ms  SetBottleneck  s=0  link=2  hop=3  beta=true
+2.044ms  SetBottleneck  s=0  link=4  hop=4  beta=true
+2.050ms  SetBottleneck  s=0  link=13  hop=5  beta=true
+2.086ms  SetBottleneck  s=0  link=2  hop=3  beta=true
+2.135ms  SetBottleneck  s=0  link=2  hop=3  beta=true
+2.184ms  Leave  s=0  link=6  hop=1
+2.194ms  Leave  s=0  link=0  hop=2
+2.200ms  Leave  s=0  link=2  hop=3
+2.206ms  Leave  s=0  link=4  hop=4
+2.255ms  Leave  s=0  link=4  hop=4
+2.261ms  Leave  s=0  link=13  hop=5
+)trace";
+
+// All four scenarios run on the same 3-link parking lot.
 net::Network make_net() {
   topo::CanonicalOptions opt;
   opt.router_capacity = 100.0;
@@ -433,7 +573,7 @@ TEST(TransportEquiv, SharedAccessGoldenTraceExplicitTransport) {
 }
 
 // The two construction paths must agree in the lossy + ARQ regime too:
-// the seam moved the loss RNG and the ArqChannel arena into
+// the seam moved the loss RNG and the go-back-N link arena into
 // SimTransport, and identical seeding must survive the move.
 TEST(TransportEquiv, LossyArqTraceSameThroughBothConstructors) {
   BneckConfig cfg;
@@ -443,6 +583,17 @@ TEST(TransportEquiv, LossyArqTraceSameThroughBothConstructors) {
   const std::string explicit_trace = run_trace(cfg, true, drive_unweighted);
   EXPECT_FALSE(implicit_trace.empty());
   EXPECT_EQ(implicit_trace, explicit_trace);
+}
+
+// Pins the go-back-N timing itself: every data transmission (first
+// tries and retransmissions) and its timestamp under 20% symmetric loss,
+// captured before the simulator's ARQ moved onto the clock-agnostic
+// ReliableChannel core.
+TEST(TransportEquiv, LossyArqGoldenTrace) {
+  BneckConfig cfg;
+  cfg.reliable_links = true;
+  cfg.loss_probability = 0.2;
+  EXPECT_EQ(run_trace(cfg, false, drive_unweighted), kGoldenLossyArqTrace);
 }
 
 }  // namespace
