@@ -10,17 +10,49 @@
 //                 byte-identical at any thread count.
 //   --shards <k>  run ONE simulation on the sharded conservative engine
 //                 with k worker shards (0 = classic single-thread
-//                 engine).  Only exp2_dynamics honors it today; output
-//                 is byte-identical at any shard count.
-// plus bench-specific flags documented in each binary's header comment.
+//                 engine).  Only exp2_dynamics honors it today.  One
+//                 shard is byte-identical to the classic engine; k > 1
+//                 is deterministic for fixed k, but same-instant
+//                 cross-shard ties reorder, so packet counts drift by
+//                 under 1% (docs/architecture.md).
+//   --full        paper-size sweep points where a bench has them
+// An unknown flag, a missing value or a malformed or negative number is
+// rejected with a one-line message and exit status 2.
 #pragma once
 
+#include <cerrno>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <string>
+#include <limits>
 
 namespace bneck::benchutil {
+
+inline constexpr const char* kUsage =
+    "[--scale <f>] [--seed <n>] [--threads <n>] [--shards <k>] [--full]";
+
+/// Prints "<prog>: <what> <token>[ for <flag>] (usage: ...)" and exits 2.
+[[noreturn]] inline void usage_error(const char* prog, const char* what,
+                                     const char* token,
+                                     const char* flag = nullptr) {
+  std::fprintf(stderr, "%s: %s '%s'%s%s (usage: %s %s)\n", prog, what, token,
+               flag != nullptr ? " for " : "", flag != nullptr ? flag : "",
+               prog, kUsage);
+  std::exit(2);
+}
+
+/// Parses all of `text` as a decimal count in [0, max]: no sign, no
+/// leading space, no trailing characters.
+inline bool parse_count(const char* text, std::uint64_t max,
+                        std::uint64_t& out) {
+  if (*text < '0' || *text > '9') return false;
+  errno = 0;
+  char* end = nullptr;
+  out = std::strtoull(text, &end, 10);
+  return errno != ERANGE && *end == '\0' && out <= max;
+}
 
 struct Args {
   double scale = 1.0;
@@ -32,23 +64,40 @@ struct Args {
   static Args parse(int argc, char** argv) {
     Args a;
     for (int i = 1; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--scale") == 0 && i + 1 < argc) {
-        a.scale = std::atof(argv[++i]);
-      } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-        a.seed = std::strtoull(argv[++i], nullptr, 10);
-      } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-        a.threads = static_cast<std::size_t>(
-            std::strtoull(argv[++i], nullptr, 10));
-      } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-        a.shards = static_cast<std::int32_t>(std::strtol(argv[++i], nullptr, 10));
-      } else if (std::strcmp(argv[i], "--full") == 0) {
+      const char* flag = argv[i];
+      if (std::strcmp(flag, "--full") == 0) {
         a.full = true;
-      } else if (std::strcmp(argv[i], "--help") == 0) {
-        std::printf(
-            "flags: --scale <f> --seed <n> --threads <n> --shards <k> "
-            "--full\n");
+        continue;
+      }
+      if (std::strcmp(flag, "--help") == 0) {
+        std::printf("usage: %s %s\n", argv[0], kUsage);
         std::exit(0);
       }
+      const bool known = std::strcmp(flag, "--scale") == 0 ||
+                         std::strcmp(flag, "--seed") == 0 ||
+                         std::strcmp(flag, "--threads") == 0 ||
+                         std::strcmp(flag, "--shards") == 0;
+      if (!known) usage_error(argv[0], "unknown flag", flag);
+      if (i + 1 == argc) usage_error(argv[0], "missing value for", flag);
+      const char* value = argv[++i];
+      std::uint64_t n = 0;
+      bool ok = false;
+      if (std::strcmp(flag, "--scale") == 0) {
+        char* end = nullptr;
+        a.scale = std::strtod(value, &end);
+        ok = end != value && *end == '\0' && std::isfinite(a.scale) &&
+             a.scale > 0;
+      } else if (std::strcmp(flag, "--seed") == 0) {
+        ok = parse_count(value, std::numeric_limits<std::uint64_t>::max(), n);
+        a.seed = n;
+      } else if (std::strcmp(flag, "--threads") == 0) {
+        ok = parse_count(value, std::numeric_limits<std::int32_t>::max(), n);
+        a.threads = static_cast<std::size_t>(n);
+      } else {
+        ok = parse_count(value, std::numeric_limits<std::int32_t>::max(), n);
+        a.shards = static_cast<std::int32_t>(n);
+      }
+      if (!ok) usage_error(argv[0], "bad value", value, flag);
     }
     return a;
   }

@@ -17,9 +17,11 @@
 // checks on the compliance path.
 #include <signal.h>
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -52,6 +54,19 @@ void usage(const char* argv0) {
       argv0);
 }
 
+/// Parses all of `text` as a decimal integer in [0, max]; nullopt on a
+/// missing value, trailing characters or overflow.
+std::optional<int> parse_int(const char* text, long max) {
+  if (text == nullptr) return std::nullopt;
+  errno = 0;
+  char* end = nullptr;
+  const long v = std::strtol(text, &end, 10);
+  if (end == text || *end != '\0' || errno == ERANGE || v < 0 || v > max) {
+    return std::nullopt;
+  }
+  return static_cast<int>(v);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -64,6 +79,11 @@ int main(int argc, char** argv) {
     const auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
+    const auto next_int = [&](int& out, long max) {
+      const auto v = parse_int(next(), max);
+      if (v) out = *v;
+      return v.has_value();
+    };
     if (std::strcmp(argv[i], "--topo") == 0) {
       const char* v = next();
       if (v == nullptr) {
@@ -72,21 +92,17 @@ int main(int argc, char** argv) {
       }
       spec = v;
     } else if (std::strcmp(argv[i], "--port") == 0) {
-      const char* v = next();
-      if (v == nullptr) {
+      if (!next_int(port, 65535)) {
         usage(argv[0]);
         return 2;
       }
-      port = std::atoi(v);
     } else if (std::strcmp(argv[i], "--expiry-ms") == 0) {
-      const char* v = next();
-      if (v == nullptr || (expiry_ms = std::atoi(v)) < 0) {
+      if (!next_int(expiry_ms, std::numeric_limits<int>::max())) {
         usage(argv[0]);
         return 2;
       }
     } else if (std::strcmp(argv[i], "--summary-ms") == 0) {
-      const char* v = next();
-      if (v == nullptr || (summary_ms = std::atoi(v)) < 0) {
+      if (!next_int(summary_ms, std::numeric_limits<int>::max())) {
         usage(argv[0]);
         return 2;
       }
@@ -108,7 +124,7 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (spec.empty() || port < 0 || port > 65535) {
+  if (spec.empty()) {
     usage(argv[0]);
     return 2;
   }
