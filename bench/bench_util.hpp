@@ -8,13 +8,13 @@
 //   --threads <n> worker threads for independent sweep points (0 = all
 //                 cores; also settable via $BNECK_THREADS).  Results are
 //                 byte-identical at any thread count.
-//   --shards <k>  run ONE simulation on the sharded conservative engine
-//                 with k worker shards (0 = classic single-thread
-//                 engine).  Only exp2_dynamics honors it today.  One
-//                 shard is byte-identical to the classic engine; k > 1
-//                 is deterministic for fixed k, but same-instant
-//                 cross-shard ties reorder, so packet counts drift by
-//                 under 1% (docs/architecture.md).
+//   --shards <k>  exp2_dynamics only (the other benches refuse it): run
+//                 the simulation on k >= 1 worker shards of the
+//                 conservative parallel engine (default 1, the
+//                 single-thread engine).  A fixed k > 1 is deterministic,
+//                 but same-instant cross-shard ties reorder, so packet
+//                 counts drift from k = 1 by under 1%
+//                 (docs/architecture.md).
 //   --full        paper-size sweep points where a bench has them
 // An unknown flag, a missing value or a malformed or negative number is
 // rejected with a one-line message and exit status 2.
@@ -31,15 +31,17 @@
 namespace bneck::benchutil {
 
 inline constexpr const char* kUsage =
+    "[--scale <f>] [--seed <n>] [--threads <n>] [--full]";
+inline constexpr const char* kShardsUsage =
     "[--scale <f>] [--seed <n>] [--threads <n>] [--shards <k>] [--full]";
 
 /// Prints "<prog>: <what> <token>[ for <flag>] (usage: ...)" and exits 2.
-[[noreturn]] inline void usage_error(const char* prog, const char* what,
-                                     const char* token,
+[[noreturn]] inline void usage_error(const char* prog, const char* usage,
+                                     const char* what, const char* token,
                                      const char* flag = nullptr) {
   std::fprintf(stderr, "%s: %s '%s'%s%s (usage: %s %s)\n", prog, what, token,
                flag != nullptr ? " for " : "", flag != nullptr ? flag : "",
-               prog, kUsage);
+               prog, usage);
   std::exit(2);
 }
 
@@ -59,9 +61,12 @@ struct Args {
   std::uint64_t seed = 1;
   bool full = false;
   std::size_t threads = 0;  // 0 = workload::default_parallelism()
-  std::int32_t shards = 0;  // 0 = single-thread engine
+  std::int32_t shards = 1;  // 1 = single-thread engine
 
-  static Args parse(int argc, char** argv) {
+  /// `shards`: whether this bench honours --shards (else it is refused
+  /// as an unknown flag).
+  static Args parse(int argc, char** argv, bool shards = false) {
+    const char* usage = shards ? kShardsUsage : kUsage;
     Args a;
     for (int i = 1; i < argc; ++i) {
       const char* flag = argv[i];
@@ -70,15 +75,15 @@ struct Args {
         continue;
       }
       if (std::strcmp(flag, "--help") == 0) {
-        std::printf("usage: %s %s\n", argv[0], kUsage);
+        std::printf("usage: %s %s\n", argv[0], usage);
         std::exit(0);
       }
       const bool known = std::strcmp(flag, "--scale") == 0 ||
                          std::strcmp(flag, "--seed") == 0 ||
                          std::strcmp(flag, "--threads") == 0 ||
-                         std::strcmp(flag, "--shards") == 0;
-      if (!known) usage_error(argv[0], "unknown flag", flag);
-      if (i + 1 == argc) usage_error(argv[0], "missing value for", flag);
+                         (shards && std::strcmp(flag, "--shards") == 0);
+      if (!known) usage_error(argv[0], usage, "unknown flag", flag);
+      if (i + 1 == argc) usage_error(argv[0], usage, "missing value for", flag);
       const char* value = argv[++i];
       std::uint64_t n = 0;
       bool ok = false;
@@ -94,10 +99,11 @@ struct Args {
         ok = parse_count(value, std::numeric_limits<std::int32_t>::max(), n);
         a.threads = static_cast<std::size_t>(n);
       } else {
-        ok = parse_count(value, std::numeric_limits<std::int32_t>::max(), n);
+        ok = parse_count(value, std::numeric_limits<std::int32_t>::max(), n) &&
+             n >= 1;
         a.shards = static_cast<std::int32_t>(n);
       }
-      if (!ok) usage_error(argv[0], "bad value", value, flag);
+      if (!ok) usage_error(argv[0], usage, "bad value", value, flag);
     }
     return a;
   }

@@ -7,12 +7,12 @@
 // between (55/35/40/60/55 ms in the paper).  Default here is 1/10 of the
 // paper's population (10k/2k join phases); --scale adjusts.
 //
-// --shards <k> runs the same workload on the sharded conservative
-// parallel engine (core::ShardedBneck) with k worker shards.  The
-// determinism contract (docs/architecture.md): at k = 1 the figure
-// output on stdout is byte-identical to the classic single-thread path;
-// at a fixed k > 1 it is deterministic (identical run to run) but may
-// drift from k = 1 by well under 1% in per-phase packet counts and
+// --shards <k> runs the workload on k worker shards of the conservative
+// parallel engine (core::ShardedBneck; default 1, the single-thread
+// engine).  The determinism contract (docs/architecture.md): at k = 1
+// the figure output on stdout is bench/golden/exp2_dynamics.txt byte for
+// byte; at a fixed k > 1 it is deterministic (identical run to run) but
+// may drift from k = 1 by well under 1% in per-phase packet counts and
 // quiescence times, because same-instant packets from different shards
 // are ordered by (shard, seq) rather than by global seq (at --scale 0.1
 // --seed 1, k = 4 sends 17,899,377 packets against 17,909,501 at k = 1).
@@ -40,10 +40,9 @@ struct Phase {
   workload::PhaseSpec spec;
 };
 
-/// Shared figure loop: phase table + per-bin series, identical wording
-/// for both engines (Runner = DynamicsRunner | ShardedDynamicsRunner).
-template <class Runner>
-void run_phases_and_report(Runner& runner, const std::vector<Phase>& phases) {
+/// The figure: phase table + per-bin series.
+void run_phases_and_report(workload::DynamicsRunner& runner,
+                           const std::vector<Phase>& phases) {
   stats::Table summary({"phase", "active after", "time-to-quiescence",
                         "packets", "max rel err"});
   for (const auto& ph : phases) {
@@ -58,7 +57,7 @@ void run_phases_and_report(Runner& runner, const std::vector<Phase>& phases) {
   summary.print(std::cout);
 
   // The Figure-6 series proper: packets per type per 5 ms bin.
-  const auto& bins = runner.bins();
+  const auto bins = runner.bins();
   std::printf("\npackets per 5ms interval by type:\n");
   stats::Table series({"t[ms]", "Join", "Probe", "Response", "Update",
                        "Bottleneck", "SetBneck", "Leave", "total"});
@@ -84,7 +83,7 @@ void run_phases_and_report(Runner& runner, const std::vector<Phase>& phases) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto args = benchutil::Args::parse(argc, argv);
+  auto args = benchutil::Args::parse(argc, argv, /*shards=*/true);
   if (!args.full && args.scale == 1.0) args.scale = 0.1;  // default: 1/10 paper
   benchutil::banner("Figure 6", "per-type packet traffic across five churn phases");
 
@@ -127,29 +126,16 @@ int main(int argc, char** argv) {
     phases.push_back({"5: mixed", p});
   }
 
-  if (args.shards > 0) {
-    core::ShardedConfig scfg;
-    scfg.shards = args.shards;
-    workload::ShardedDynamicsRunner runner(network, rng, scfg,
-                                           milliseconds(5));
-    const auto& part = runner.engine().partition();
-    std::fprintf(stderr,
-                 "sharded engine: %d shards, lookahead %lld ns, %zu cut "
-                 "links\n",
-                 runner.engine().shard_count(),
-                 static_cast<long long>(part.lookahead),
-                 part.cut_links.size());
-    run_phases_and_report(runner, phases);
-    std::fprintf(stderr,
-                 "sharded engine: %llu barrier windows, %llu cross-shard "
-                 "packets\n",
-                 static_cast<unsigned long long>(
-                     runner.engine().windows_run()),
-                 static_cast<unsigned long long>(
-                     runner.engine().cross_shard_packets()));
-  } else {
-    workload::DynamicsRunner runner(network, rng, {}, milliseconds(5));
-    run_phases_and_report(runner, phases);
-  }
+  workload::DynamicsRunner runner(network, rng, args.shards, milliseconds(5));
+  const auto& engine = runner.engine();
+  const TimeNs lookahead = engine.partition().lookahead;
+  std::fprintf(stderr, "engine: %d shard(s), %zu cut links, lookahead %s\n",
+               engine.shard_count(), engine.partition().cut_links.size(),
+               lookahead == kTimeNever ? "none" : format_time(lookahead).c_str());
+  run_phases_and_report(runner, phases);
+  std::fprintf(stderr,
+               "engine: %llu barrier windows, %llu cross-shard packets\n",
+               static_cast<unsigned long long>(engine.windows_run()),
+               static_cast<unsigned long long>(engine.cross_shard_packets()));
   return 0;
 }

@@ -2,17 +2,18 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 namespace bneck::core {
 
 BneckProtocol::BneckProtocol(sim::Simulator& simulator,
                              const net::Network& network, BneckConfig config,
-                             TraceSink* trace)
+                             TraceSink* trace, transport::ShardRoute route)
     : net_(network),
       cfg_(config),
       trace_(trace),
       owned_transport_(std::make_unique<transport::SimTransport>(
-          simulator, network, config.wire())),
+          simulator, network, config.wire(), std::move(route))),
       transport_(owned_transport_.get()),
       link_slot_(static_cast<std::size_t>(network.link_count()), -1),
       sources_in_use_(static_cast<std::size_t>(network.node_count()), 0) {

@@ -121,9 +121,11 @@ class BneckProtocol final : public Transport,
  public:
   /// The simulator binding: constructs an owned transport::SimTransport
   /// on `simulator` from the wire slice of `config` — the reference
-  /// configuration every test, bench and example uses.
+  /// configuration every test, bench and example uses.  The sharded
+  /// engine passes each shard's cross-shard `route`.
   BneckProtocol(sim::Simulator& simulator, const net::Network& network,
-                BneckConfig config = {}, TraceSink* trace = nullptr);
+                BneckConfig config = {}, TraceSink* trace = nullptr,
+                transport::ShardRoute route = {});
 
   /// Seam binding: runs the control plane over an externally owned
   /// transport backend (which must outlive the protocol and not yet be
@@ -209,6 +211,13 @@ class BneckProtocol final : public Transport,
   /// ARQ retransmissions performed (0 unless reliable_links and loss).
   [[nodiscard]] std::uint64_t retransmissions() const {
     return transport_->retransmissions();
+  }
+
+  /// The sharded engine's barrier exchange (simulator binding only): a
+  /// packet another shard posted, arriving here at absolute (future)
+  /// time t.
+  void deliver_inbound(TimeNs t, const Packet& p) {
+    owned_transport_->deliver_inbound(t, p);
   }
 
   /// Wire transmissions by packet type (indexed by core::PacketType).

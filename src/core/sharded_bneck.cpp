@@ -1,6 +1,7 @@
 #include "core/sharded_bneck.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "base/expect.hpp"
 
@@ -34,21 +35,23 @@ ShardedBneck::ShardedBneck(const net::Network& network, ShardedConfig config,
       std::move(sim_ptrs),
       partition_.lookahead == kTimeNever ? kTimeNever : partition_.lookahead,
       [this](std::int32_t dst, TimeNs t, const Packet& p) {
-        transports_[static_cast<std::size_t>(dst)]->deliver_inbound(t, p);
+        protocols_[static_cast<std::size_t>(dst)]->deliver_inbound(t, p);
       });
 
-  transports_.reserve(shards);
   protocols_.reserve(shards);
   for (std::size_t k = 0; k < shards; ++k) {
     const auto shard = static_cast<std::int32_t>(k);
-    transports_.push_back(std::make_unique<transport::ShardTransport>(
-        *sims_[k], net_, partition_, shard, cfg_.protocol.wire(),
-        [this, shard](std::int32_t dst, TimeNs t, const Packet& p) {
-          scheduler_->post(shard, dst, t, p);
-        }));
+    // A one-shard partition cuts no link: K = 1 keeps the unrouted wire.
+    transport::ShardRoute route;
+    if (shards > 1) {
+      route = {&partition_, shard,
+               [this, shard](std::int32_t dst, TimeNs t, const Packet& p) {
+                 scheduler_->post(shard, dst, t, p);
+               }};
+    }
     protocols_.push_back(std::make_unique<BneckProtocol>(
-        *transports_[k], net_, cfg_.protocol,
-        traces.empty() ? nullptr : traces[k]));
+        *sims_[k], net_, cfg_.protocol, traces.empty() ? nullptr : traces[k],
+        std::move(route)));
   }
 }
 

@@ -3,9 +3,10 @@
 // The single-thread engine runs one Simulator + one BneckProtocol; this
 // engine runs K of each.  net::partition_network assigns every router
 // (and its hosts) to a shard; each shard owns a private
-// LadderQueue-backed simulator, a ShardTransport and a full
-// BneckProtocol instance, so *no mutable state is shared between threads
-// at all* — session tables, RouterLink arenas and counters are all
+// LadderQueue-backed simulator and a full BneckProtocol instance built
+// by the single-thread engine's simulator constructor (so it owns its
+// transport::SimTransport), and *no mutable state is shared between
+// threads at all* — session tables, RouterLink arenas and counters are all
 // shard-private, and the only cross-thread traffic is packet batches
 // exchanged at the conservative window barriers of
 // sim::ShardedScheduler.
@@ -17,7 +18,10 @@
 // RouterLink tasks local to whichever shard owns each hop.  A directed
 // link's FIFO channel lives with the shard that owns the link's source
 // node — exactly the shard every send for that link originates from —
-// which keeps the per-link serialization clock single-writer.
+// which keeps the per-link serialization clock single-writer.  Each
+// shard's SimTransport carries a ShardRoute that hands arrivals on
+// cross-shard links to the scheduler's mailboxes; a one-shard partition
+// cuts no link, so K = 1 gets no route and is the single-thread engine.
 //
 // The public surface mirrors what the experiment harnesses consume from
 // BneckProtocol, with counters aggregated across shards (sums for the
@@ -40,7 +44,6 @@
 #include "net/partition.hpp"
 #include "sim/sharded.hpp"
 #include "sim/simulator.hpp"
-#include "transport/shard_transport.hpp"
 
 namespace bneck::core {
 
@@ -62,7 +65,7 @@ class ShardedBneck {
   /// protocol reports its wire crossings to traces[k], from shard k's
   /// worker thread (sinks must be shard-private or thread-safe).  Pass
   /// per-shard sinks and merge after the run, as
-  /// workload::ShardedDynamicsRunner does.
+  /// workload::DynamicsRunner does.
   ShardedBneck(const net::Network& network, ShardedConfig config,
                std::vector<TraceSink*> traces = {});
 
@@ -130,7 +133,6 @@ class ShardedBneck {
   net::NetPartition partition_;
   std::vector<std::unique_ptr<sim::Simulator>> sims_;
   std::unique_ptr<sim::ShardedScheduler<Packet>> scheduler_;
-  std::vector<std::unique_ptr<transport::ShardTransport>> transports_;
   std::vector<std::unique_ptr<BneckProtocol>> protocols_;
   // Session id -> home shard.  Ids are dense in every harness (they are
   // allocated sequentially); the engine enforces the same dense-id limit

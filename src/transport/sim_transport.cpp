@@ -2,22 +2,26 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "base/expect.hpp"
 
 namespace bneck::transport {
 
 SimTransport::SimTransport(sim::Simulator& sim, const net::Network& net,
-                           WireConfig cfg)
+                           WireConfig cfg, ShardRoute route)
     : sim_(sim),
       net_(net),
       cfg_(cfg),
+      route_(std::move(route)),
       channels_(static_cast<std::size_t>(net.link_count())),
       arq_slot_(static_cast<std::size_t>(net.link_count()), -1),
       loss_rng_(cfg.loss_seed) {
   BNECK_EXPECT(cfg_.packet_bits > 0, "packet size must be positive");
   BNECK_EXPECT(cfg_.loss_probability >= 0.0 && cfg_.loss_probability < 1.0,
                "loss probability must be in [0,1)");
+  BNECK_EXPECT(route_.partition == nullptr || lossless(),
+               "sharded engine requires the loss-free wire");
 }
 
 void SimTransport::bind(TransportSink& sink) {
@@ -141,6 +145,15 @@ void SimTransport::send(LinkId physical, const core::Packet& p) {
   sink_->on_wire(p, physical);
   if (cfg_.loss_probability > 0 && loss_rng_.chance(cfg_.loss_probability)) {
     return;  // the paper's reliability assumption, violated on purpose
+  }
+  if (route_.partition != nullptr) {
+    const std::int32_t dst_shard = route_.partition->shard_of(l.dst);
+    BNECK_EXPECT(route_.partition->shard_of(l.src) == route_.shard,
+                 "send from a link not owned by this shard");
+    if (dst_shard != route_.shard) {
+      route_.post(dst_shard, arrival, p);
+      return;
+    }
   }
   sim_.schedule_delivery_at(arrival, *this, p);
 }

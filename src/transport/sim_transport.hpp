@@ -11,6 +11,13 @@
 // lossy wires; with bare loss_probability > 0, packets simply vanish
 // (the paper's reliability assumption, violated on purpose).
 //
+// The sharded engine (core/sharded_bneck.hpp) runs one SimTransport per
+// shard, each given a ShardRoute: a send on a link whose destination
+// node lives on another shard still serializes on the local FIFO channel
+// (the sending side of a directed link always belongs to the shard that
+// owns its source node), but its arrival is handed to the route's post
+// function instead of the local event queue.
+//
 // This is the reference backend: every figure bench, golden trace and
 // fuzz campaign runs on it, and the refactor that introduced the seam
 // is pinned byte-identical against the pre-seam event order
@@ -18,12 +25,14 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "base/expect.hpp"
 #include "base/rng.hpp"
 #include "base/slab.hpp"
 #include "net/network.hpp"
+#include "net/partition.hpp"
 #include "sim/simulator.hpp"
 #include "transport/reliable.hpp"
 #include "transport/transport.hpp"
@@ -136,14 +145,31 @@ class SimArqLink {
   AckRx ack_rx_;
 };
 
+/// Where a SimTransport serving shard `shard` of `partition` sends the
+/// arrivals that belong to other shards.  The sharded scheduler
+/// schedules each posted packet into the destination shard's simulator
+/// at the next exchange barrier (the arrival time is always beyond the
+/// next horizon, so the insert is future-dated).  A default route (null
+/// partition) keeps every arrival local.
+struct ShardRoute {
+  using PostFn = std::function<void(std::int32_t dst_shard, TimeNs arrival,
+                                    const core::Packet& p)>;
+  const net::NetPartition* partition = nullptr;
+  std::int32_t shard = 0;
+  PostFn post;
+};
+
 class SimTransport final
     : public LinkTransport,
       public sim::DeliveryHandlerOf<SimTransport, core::Packet> {
   friend sim::DeliveryHandlerOf<SimTransport, core::Packet>;
 
  public:
+  /// A non-default `route` requires the loss-free wire: the lossy and
+  /// go-back-N modes keep per-link state that the shard ownership
+  /// argument does not cover.
   SimTransport(sim::Simulator& sim, const net::Network& net,
-               WireConfig cfg = {});
+               WireConfig cfg = {}, ShardRoute route = {});
 
   SimTransport(const SimTransport&) = delete;
   SimTransport& operator=(const SimTransport&) = delete;
@@ -153,6 +179,12 @@ class SimTransport final
   void local(const core::Packet& p) override;
   [[nodiscard]] TimeNs now() const override { return sim_.now(); }
   [[nodiscard]] std::uint64_t retransmissions() const override;
+
+  /// Entry point for the sharded scheduler's barrier exchange: a packet
+  /// another shard posted, arriving here at absolute (future) time t.
+  void deliver_inbound(TimeNs t, const core::Packet& p) {
+    sim_.schedule_delivery_at(t, *this, p);
+  }
 
   /// Busy horizons of every per-directed-link FIFO channel, in link-id
   /// order (model-checker snapshot seam).  Only meaningful on loss-free
@@ -188,6 +220,7 @@ class SimTransport final
   sim::Simulator& sim_;
   const net::Network& net_;
   WireConfig cfg_;
+  ShardRoute route_;
   TransportSink* sink_ = nullptr;
 
   std::vector<sim::FifoChannel> channels_;  // per directed link

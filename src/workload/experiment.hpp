@@ -7,12 +7,13 @@
 //                     link against the centralized solution (Fig. 7),
 //                     plus convergence detection for the non-quiescent
 //                     baselines.
-//   PhasePlanner    — deterministic churn plans drawn once per phase,
-//                     shared verbatim by the single-thread and sharded
-//                     runners so their figure output is byte-identical.
+//   PhasePlanner    — deterministic churn plans drawn once per phase;
+//                     the rng is consulted only while planning, so any
+//                     shard count replays the same workload.
 //   DynamicsRunner  — phased join/leave/change dynamics with quiescence
-//                     measurement (Figs. 5 and 6, Experiment 2).
-//   ShardedDynamicsRunner — the same phases on core::ShardedBneck.
+//                     measurement (Figs. 5 and 6, Experiment 2) on
+//                     core::ShardedBneck; one shard is the single-thread
+//                     engine.
 //   run_tracked     — fixed-horizon sampled run (Experiment 3).
 #pragma once
 
@@ -24,7 +25,7 @@
 #include "core/maxmin.hpp"
 #include "core/sharded_bneck.hpp"
 #include "core/trace.hpp"
-#include "proto/bneck_driver.hpp"
+#include "proto/protocol.hpp"
 #include "stats/summary.hpp"
 #include "stats/time_series.hpp"
 #include "workload/workload.hpp"
@@ -102,9 +103,9 @@ struct PhaseResult {
 
 /// The fully-drawn churn of one phase: every join plan plus the (id,
 /// time) of every leave and the (id, demand, time) of every change.
-/// A plan is what both engines schedule — the rng is consulted only
-/// while building it, never while scheduling, which is how the sharded
-/// runner reproduces the classic runner's workload bit-for-bit.
+/// A plan is what the engine schedules — the rng is consulted only
+/// while building it, never while scheduling, which is how every shard
+/// count reproduces the same workload bit-for-bit.
 struct PhasePlan {
   struct Leave {
     std::int32_t id;
@@ -142,44 +143,17 @@ class PhasePlanner {
   std::int32_t next_id_ = 0;
 };
 
-/// Drives B-Neck through arbitrary phase sequences on one network,
-/// tracking per-type packet bins and verifying rates between phases.
+/// Drives B-Neck through arbitrary phase sequences on one network with
+/// `shards` worker shards (core::ShardedBneck), tracking per-type packet
+/// bins and verifying rates between phases.  One shard is the
+/// single-thread engine, byte for byte; a fixed K > 1 is deterministic.
+/// Per-shard PacketBinners absorb each shard's trace on its own worker
+/// thread; bins() merges them after the run (integer sums, so the merged
+/// series is independent of shard count).
 class DynamicsRunner {
  public:
-  DynamicsRunner(const net::Network& net, Rng& rng,
-                 core::BneckConfig config = {},
+  DynamicsRunner(const net::Network& net, Rng& rng, std::int32_t shards = 1,
                  TimeNs bin_width = milliseconds(5));
-
-  PhaseResult run_phase(const PhaseSpec& phase);
-
-  /// Max relative deviation (fraction) of notified rates from the
-  /// centralized solution; 0 when perfectly converged.
-  [[nodiscard]] double max_rate_error() const;
-
-  [[nodiscard]] const stats::BinnedCounter& bins() const {
-    return binner_.bins();
-  }
-  [[nodiscard]] const proto::BneckDriver& driver() const { return driver_; }
-  [[nodiscard]] sim::Simulator& simulator() { return sim_; }
-
- private:
-  const net::Network& net_;
-  sim::Simulator sim_;
-  PacketBinner binner_;
-  proto::BneckDriver driver_;
-  PhasePlanner planner_;
-};
-
-/// DynamicsRunner's phases on the sharded parallel engine
-/// (core::ShardedBneck): same workload plans, same figure output, K
-/// worker threads.  Per-shard PacketBinners absorb each shard's trace on
-/// its own worker thread; bins() merges them after the run (integer
-/// sums, so the merged series is independent of shard count).
-class ShardedDynamicsRunner {
- public:
-  ShardedDynamicsRunner(const net::Network& net, Rng& rng,
-                        core::ShardedConfig config = {},
-                        TimeNs bin_width = milliseconds(5));
 
   PhaseResult run_phase(const PhaseSpec& phase);
 
@@ -190,13 +164,13 @@ class ShardedDynamicsRunner {
   /// Per-type packet bins merged across shards.
   [[nodiscard]] stats::BinnedCounter bins() const;
 
-  [[nodiscard]] const core::ShardedBneck& engine() const { return *engine_; }
+  [[nodiscard]] const core::ShardedBneck& engine() const { return engine_; }
 
  private:
   const net::Network& net_;
   TimeNs bin_width_;
   std::vector<std::unique_ptr<PacketBinner>> binners_;  // one per shard
-  std::unique_ptr<core::ShardedBneck> engine_;
+  core::ShardedBneck engine_;
   PhasePlanner planner_;
 };
 

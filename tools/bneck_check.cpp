@@ -17,10 +17,13 @@
 // Exit code: 0 when every seed passes, 1 on any invariant violation (the
 // failing seeds, their violations and — with --shrink — a minimal spec,
 // a replay command line and a C++ regression snippet are printed).
+#include <cerrno>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "check/codec_fuzz.hpp"
@@ -60,8 +63,8 @@ void usage(const char* argv0) {
       "  --inject-fault NAME   arm a documented protocol mutation\n"
       "                        (none | single-kick) to validate the harness\n"
       "  --audit-stride N      audit link tables every N events (default 256)\n"
-      "  --quiescence-slack X  quiescence-bound multiplier, <=0 off (default 32)\n"
-      "  --packet-slack X      packet-budget multiplier, <=0 off (default 64)\n"
+      "  --quiescence-slack X  quiescence-bound multiplier, 0 off (default 32)\n"
+      "  --packet-slack X      packet-budget multiplier, 0 off (default 64)\n"
       "  --max-events N        per-scenario event budget (default 2e7)\n"
       "  -v                    per-seed progress\n",
       argv0);
@@ -83,26 +86,77 @@ struct Args {
   bneck::check::CheckOptions check;
 };
 
+/// Parses all of `text` as a decimal count in [lo, hi]: digits only (no
+/// sign, no leading space), no trailing characters, no overflow.
+bool parse_count(const char* text, std::uint64_t lo, std::uint64_t hi,
+                 std::uint64_t* out) {
+  if (*text < '0' || *text > '9') return false;
+  errno = 0;
+  char* end = nullptr;
+  const std::uint64_t v = std::strtoull(text, &end, 10);
+  if (errno == ERANGE || *end != '\0' || v < lo || v > hi) return false;
+  *out = v;
+  return true;
+}
+
+/// Parses all of `text` as a finite non-negative decimal number (no
+/// sign, no trailing characters).
+bool parse_multiplier(const char* text, double* out) {
+  if ((*text < '0' || *text > '9') && *text != '.') return false;
+  errno = 0;
+  char* end = nullptr;
+  const double v = std::strtod(text, &end);
+  if (end == text || *end != '\0' || errno == ERANGE || !std::isfinite(v)) {
+    return false;
+  }
+  *out = v;
+  return true;
+}
+
+/// "A..B" (inclusive, A <= B) or a single seed "N".
 bool parse_seed_range(const char* text, std::uint64_t* first,
                       std::uint64_t* last) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
   const char* dots = std::strstr(text, "..");
-  char* end = nullptr;
   if (dots == nullptr) {
-    *first = *last = std::strtoull(text, &end, 10);
-    return end != text && *end == '\0';
+    if (!parse_count(text, 0, kMax, first)) return false;
+    *last = *first;
+    return true;
   }
-  *first = std::strtoull(text, &end, 10);
-  if (end != dots) return false;
-  const char* tail = dots + 2;
-  *last = std::strtoull(tail, &end, 10);
-  return end != tail && *end == '\0' && *first <= *last;
+  const std::string head(text, dots);
+  return parse_count(head.c_str(), 0, kMax, first) &&
+         parse_count(dots + 2, 0, kMax, last) && *first <= *last;
 }
 
 bool parse_args(int argc, char** argv, Args* a) {
+  constexpr auto kMaxU64 = std::numeric_limits<std::uint64_t>::max();
+  constexpr auto kMaxInt =
+      static_cast<std::uint64_t>(std::numeric_limits<int>::max());
+  constexpr auto kMaxSize =
+      static_cast<std::uint64_t>(std::numeric_limits<std::size_t>::max());
   for (int i = 1; i < argc; ++i) {
     const auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
+    // Numeric flags: the whole next argument, in [lo, hi], or a refusal.
+    const auto refuse = [&](const char* flag, const char* v) {
+      std::fprintf(stderr, "bad value '%s' for %s\n", v, flag);
+      return false;
+    };
+    const auto next_count = [&](std::uint64_t lo, std::uint64_t hi,
+                                std::uint64_t* out) {
+      const char* flag = argv[i];
+      const char* v = next();
+      if (v == nullptr) return refuse(flag, "");
+      return parse_count(v, lo, hi, out) || refuse(flag, v);
+    };
+    const auto next_multiplier = [&](double* out) {
+      const char* flag = argv[i];
+      const char* v = next();
+      if (v == nullptr) return refuse(flag, "");
+      return parse_multiplier(v, out) || refuse(flag, v);
+    };
+    std::uint64_t n = 0;
     if (std::strcmp(argv[i], "--seeds") == 0) {
       const char* v = next();
       if (v == nullptr || !parse_seed_range(v, &a->seed_first, &a->seed_last)) {
@@ -126,9 +180,8 @@ bool parse_args(int argc, char** argv, Args* a) {
     } else if (std::strcmp(argv[i], "--compliance-threaded") == 0) {
       a->compliance.threaded = true;
     } else if (std::strcmp(argv[i], "--compliance-timeout") == 0) {
-      const char* v = next();
-      if (v == nullptr) return false;
-      a->compliance.timeout_ms = std::atoi(v);
+      if (!next_count(1, kMaxInt, &n)) return false;
+      a->compliance.timeout_ms = static_cast<int>(n);
       a->timeout_set = true;
     } else if (std::strcmp(argv[i], "--faults") == 0) {
       // Optional value: a "key=value,..." spec, else the standard preset.
@@ -144,16 +197,13 @@ bool parse_args(int argc, char** argv, Args* a) {
         a->compliance.faults = bneck::transport::FaultConfig::standard(0);
       }
     } else if (std::strcmp(argv[i], "--threads") == 0) {
-      const char* v = next();
-      if (v == nullptr) return false;
-      a->threads = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
+      if (!next_count(0, kMaxInt, &n)) return false;
+      a->threads = static_cast<std::size_t>(n);
     } else if (std::strcmp(argv[i], "--shrink") == 0) {
       a->do_shrink = true;
     } else if (std::strcmp(argv[i], "--max-shrink-runs") == 0) {
-      const char* v = next();
-      if (v == nullptr) return false;
-      a->max_shrink_runs =
-          static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
+      if (!next_count(0, kMaxSize, &n)) return false;
+      a->max_shrink_runs = static_cast<std::size_t>(n);
     } else if (std::strcmp(argv[i], "--replay") == 0) {
       const char* v = next();
       if (v == nullptr) return false;
@@ -170,22 +220,14 @@ bool parse_args(int argc, char** argv, Args* a) {
         return false;
       }
     } else if (std::strcmp(argv[i], "--audit-stride") == 0) {
-      const char* v = next();
-      if (v == nullptr) return false;
-      a->check.audit_stride =
-          static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
+      if (!next_count(0, kMaxSize, &n)) return false;
+      a->check.audit_stride = static_cast<std::size_t>(n);
     } else if (std::strcmp(argv[i], "--quiescence-slack") == 0) {
-      const char* v = next();
-      if (v == nullptr) return false;
-      a->check.quiescence_slack = std::atof(v);
+      if (!next_multiplier(&a->check.quiescence_slack)) return false;
     } else if (std::strcmp(argv[i], "--packet-slack") == 0) {
-      const char* v = next();
-      if (v == nullptr) return false;
-      a->check.packet_slack = std::atof(v);
+      if (!next_multiplier(&a->check.packet_slack)) return false;
     } else if (std::strcmp(argv[i], "--max-events") == 0) {
-      const char* v = next();
-      if (v == nullptr) return false;
-      a->check.max_events = std::strtoull(v, nullptr, 10);
+      if (!next_count(1, kMaxU64, &a->check.max_events)) return false;
     } else if (std::strcmp(argv[i], "-v") == 0) {
       a->verbose = true;
     } else if (std::strcmp(argv[i], "--help") == 0) {
