@@ -58,12 +58,12 @@ int main(int argc, char** argv) {
   std::vector<Variant> variants;
   {
     core::BneckConfig c;
-    c.model_transmission = false;
+    c.wire.model_transmission = false;
     variants.push_back({"propagation only (no tx time)", c});
   }
   for (const std::int64_t bits : {512, 4096, 12000}) {
     core::BneckConfig c;
-    c.packet_bits = bits;
+    c.wire.packet_bits = bits;
     variants.push_back({std::to_string(bits / 8) + "-byte packets", c});
   }
   for (const auto& v : variants) {

@@ -3,7 +3,7 @@
 // The paper assumes links deliver control packets reliably and in order.
 // This example injects packet loss to show (a) that the bare protocol
 // wedges when the assumption is violated, and (b) that the library's
-// go-back-N link layer (BneckConfig::reliable_links) restores exact
+// go-back-N link layer (BneckConfig::wire.reliable_links) restores exact
 // convergence — and quiescence — up to heavy loss rates, at the cost of
 // retransmissions.
 //
@@ -34,9 +34,9 @@ Outcome run(const net::Network& n, double loss, bool reliable,
   const net::PathFinder paths(n);
   sim::Simulator sim;
   core::BneckConfig cfg;
-  cfg.loss_probability = loss;
-  cfg.reliable_links = reliable;
-  cfg.loss_seed = seed;
+  cfg.wire.loss_probability = loss;
+  cfg.wire.reliable_links = reliable;
+  cfg.wire.loss_seed = seed;
   core::BneckProtocol bneck(sim, n, cfg);
   for (int i = 0; i < 4; ++i) {
     bneck.join(SessionId{i},

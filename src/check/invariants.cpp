@@ -49,7 +49,7 @@ void InvariantChecker::fail(TimeNs t, const std::string& what) {
 }
 
 TimeNs InvariantChecker::tx_time(const net::Link& l) const {
-  return cfg_.control_tx_time(l);
+  return cfg_.wire.control_tx_time(l);
 }
 
 void InvariantChecker::on_join(SessionId s, const net::Path& path,
@@ -89,7 +89,7 @@ void InvariantChecker::on_burst(TimeNs t) {
   phase_dirty_ = true;
   phase_packet_budget_ = 0;
   phase_quiescence_bound_ = kTimeNever;
-  if (cfg_.loss_probability > 0) return;  // bounds assume reliable wires
+  if (cfg_.wire.loss_probability > 0) return;  // bounds assume reliable wires
   // Only the budgets need the level count below (the model checker
   // disarms both).
   if (opt_.packet_slack <= 0 && opt_.quiescence_slack <= 0) return;

@@ -59,8 +59,8 @@ CheckResult run_scenario(const Scenario& sc, const CheckOptions& opt) {
   sim.set_max_events(opt.max_events);
 
   core::BneckConfig cfg;
-  cfg.loss_probability = run.loss_probability;
-  cfg.reliable_links = run.loss_probability > 0;
+  cfg.wire.loss_probability = run.loss_probability;
+  cfg.wire.reliable_links = run.loss_probability > 0;
   cfg.shared_access_links = run.shared_access;
   cfg.fault_single_kick = opt.fault_single_kick;
 

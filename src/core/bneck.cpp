@@ -12,25 +12,9 @@ BneckProtocol::BneckProtocol(sim::Simulator& simulator,
     : net_(network),
       cfg_(config),
       trace_(trace),
-      owned_transport_(std::make_unique<transport::SimTransport>(
-          simulator, network, config.wire(), std::move(route))),
-      transport_(owned_transport_.get()),
+      transport_(simulator, network, *this, config.wire, std::move(route)),
       link_slot_(static_cast<std::size_t>(network.link_count()), -1),
-      sources_in_use_(static_cast<std::size_t>(network.node_count()), 0) {
-  transport_->bind(*this);
-}
-
-BneckProtocol::BneckProtocol(transport::LinkTransport& transport,
-                             const net::Network& network, BneckConfig config,
-                             TraceSink* trace)
-    : net_(network),
-      cfg_(config),
-      trace_(trace),
-      transport_(&transport),
-      link_slot_(static_cast<std::size_t>(network.link_count()), -1),
-      sources_in_use_(static_cast<std::size_t>(network.node_count()), 0) {
-  transport_->bind(*this);
-}
+      sources_in_use_(static_cast<std::size_t>(network.node_count()), 0) {}
 
 std::int32_t BneckProtocol::register_session(SessionId s) {
   BNECK_EXPECT(s.valid(), "invalid session id");
@@ -79,7 +63,7 @@ const net::Path* BneckProtocol::session_path(SessionId s) const {
 
 void BneckProtocol::on_rate(SessionId s, Rate r) {
   runtime(s).notified = r;
-  const TimeNs now = wire_now();
+  const TimeNs now = transport_.now();
   if (trace_ != nullptr) trace_->on_rate_notified(now, s, r);
   if (rate_cb_) rate_cb_(s, r, now);
 }
@@ -205,14 +189,14 @@ bool BneckProtocol::all_tasks_stable() const {
 
 void BneckProtocol::on_wire(const Packet& p, LinkId physical) {
   ++packets_sent_;
-  last_packet_time_ = wire_now();
+  last_packet_time_ = transport_.now();
   if (trace_ != nullptr) trace_->on_packet_sent(last_packet_time_, p, physical);
 }
 
 void BneckProtocol::transmit(Packet p, LinkId physical, std::int32_t to_hop) {
   p.hop = to_hop;
   ++packets_by_type_[static_cast<std::size_t>(p.type)];
-  wire_send(physical, p);
+  transport_.send(physical, p);
 }
 
 std::uint64_t BneckProtocol::probe_cycles(SessionId s) const {
@@ -244,7 +228,7 @@ void BneckProtocol::send_downstream(Packet p, std::int32_t from_hop) {
     // Shared-access extension: host-internal handoff from the source
     // task to the access link's RouterLink — no physical crossing.
     p.hop = 0;
-    wire_local(p);
+    transport_.local(p);
     return;
   }
   transmit(p, rt.path.links[static_cast<std::size_t>(from_hop)], from_hop + 1);
@@ -261,7 +245,7 @@ void BneckProtocol::send_upstream(Packet p, std::int32_t from_hop) {
     // the co-located source task directly.
     BNECK_EXPECT(cfg_.shared_access_links, "upstream from hop 0");
     p.hop = -1;
-    wire_local(p);
+    transport_.local(p);
     return;
   }
   const std::int32_t to_hop = from_hop - 1;
@@ -277,9 +261,8 @@ BneckProtocol::Snapshot BneckProtocol::snapshot() const {
 }
 
 void BneckProtocol::snapshot_into(Snapshot& snap) const {
-  BNECK_EXPECT(owned_transport_ != nullptr && owned_transport_->lossless(),
-               "protocol snapshots require the owned loss-free "
-               "SimTransport binding");
+  BNECK_EXPECT(transport_.lossless(),
+               "protocol snapshots require the loss-free wire");
   snap.sessions.clear();
   snap.sessions.reserve(sessions_.size());
   for (const SessionRt& rt : sessions_) {
@@ -303,13 +286,12 @@ void BneckProtocol::snapshot_into(Snapshot& snap) const {
   snap.last_packet_time = last_packet_time_;
   snap.packets_by_type = packets_by_type_;
   snap.total_probe_cycles = total_probe_cycles_;
-  owned_transport_->channel_busy_snapshot(snap.channel_busy);
+  transport_.channel_busy_snapshot(snap.channel_busy);
 }
 
 void BneckProtocol::restore(const Snapshot& snap) {
-  BNECK_EXPECT(owned_transport_ != nullptr && owned_transport_->lossless(),
-               "protocol snapshots require the owned loss-free "
-               "SimTransport binding");
+  BNECK_EXPECT(transport_.lossless(),
+               "protocol snapshots require the loss-free wire");
   BNECK_EXPECT(snap.sessions.size() <= sessions_.size() &&
                    snap.tables.size() <= active_links_.size(),
                "restore into a protocol that is not a descendant of the "
@@ -358,7 +340,7 @@ void BneckProtocol::restore(const Snapshot& snap) {
   last_packet_time_ = snap.last_packet_time;
   packets_by_type_ = snap.packets_by_type;
   total_probe_cycles_ = snap.total_probe_cycles;
-  owned_transport_->restore_channel_busy(snap.channel_busy);
+  transport_.restore_channel_busy(snap.channel_busy);
   delivering_id_ = SessionId{};
   delivering_slot_ = -1;
 }

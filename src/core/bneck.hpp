@@ -4,8 +4,8 @@
 // per directed link that carries sessions, one SourceNode per active
 // session, the (stateless) DestinationNode behaviour, and the hop
 // routing: a task's emit resolves to a physical directed link, crosses
-// the wire through the transport seam (src/transport/ — the simulator
-// backend by default), and is dispatched to the task at the next hop.
+// the simulated wire the binding owns (transport::SimTransport), and is
+// dispatched to the task at the next hop.
 //
 // Typical use:
 //
@@ -48,17 +48,14 @@
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
 #include "transport/sim_transport.hpp"
-#include "transport/transport.hpp"
 
 namespace bneck::core {
 
 struct BneckConfig {
-  /// Control packet size in bits; determines per-hop transmission time
-  /// (the paper models transmission and propagation times, §IV).
-  std::int64_t packet_bits = 512;
-  /// When false, packets only incur propagation delay (useful to study
-  /// the algorithm free of serialization effects).
-  bool model_transmission = true;
+  /// The knobs of the wire the binding owns (transport::SimTransport):
+  /// packet size and transmission timing, loss and go-back-N ARQ.
+  transport::WireConfig wire;
+
   /// Extension (lifts the paper's "each host can only be the source node
   /// of one session" simplification, §II): when true, any number of
   /// sessions may share a source host.  The access link is then
@@ -69,40 +66,6 @@ struct BneckConfig {
   /// manages its dedicated access link exactly as in Figure 3 and a
   /// second session on the same source host is rejected.
   bool shared_access_links = false;
-
-  /// Fault injection: probability that a wire transmission is lost.
-  /// Without reliable_links, a lost packet deadlocks the affected
-  /// sessions (the paper assumes reliable links); combine with
-  /// reliable_links to run B-Neck over lossy networks.
-  double loss_probability = 0.0;
-  /// Runs every link through go-back-N ARQ (transport::SimArqLink over
-  /// the ReliableChannel core, transport/reliable.hpp):
-  /// exactly-once in-order delivery over lossy links, still quiescent
-  /// (no unacked data -> no timers, no traffic).
-  bool reliable_links = false;
-  /// Seed for the loss process (deterministic fault injection).
-  std::uint64_t loss_seed = 0x10552024;
-
-  /// The wire-level slice of this config, in the shape the transport
-  /// backend consumes (transport::SimTransport).
-  [[nodiscard]] transport::WireConfig wire() const {
-    transport::WireConfig w;
-    w.packet_bits = packet_bits;
-    w.model_transmission = model_transmission;
-    w.reliable_links = reliable_links;
-    w.loss_probability = loss_probability;
-    w.loss_seed = loss_seed;
-    return w;
-  }
-
-  /// Transmission time of one control packet on `l` under this config —
-  /// THE definition of the simulation's store-and-forward timing, shared
-  /// with external observers (the src/check/ harness derives quiescence
-  /// bounds from it; a private copy there would silently drift).  The
-  /// formula itself lives in transport::WireConfig.
-  [[nodiscard]] TimeNs control_tx_time(const net::Link& l) const {
-    return wire().control_tx_time(l);
-  }
 
   /// Protocol-level mutation for validating the property harness
   /// (src/check/ and the `bneck_check` CLI): when true, every RouterLink
@@ -119,21 +82,12 @@ struct BneckConfig {
 class BneckProtocol final : public Transport,
                             public transport::TransportSink {
  public:
-  /// The simulator binding: constructs an owned transport::SimTransport
-  /// on `simulator` from the wire slice of `config` — the reference
-  /// configuration every test, bench and example uses.  The sharded
-  /// engine passes each shard's cross-shard `route`.
+  /// Binds the protocol to `simulator` through the transport::SimTransport
+  /// it owns, built from `config.wire`.  The sharded engine passes each
+  /// shard's cross-shard `route`.
   BneckProtocol(sim::Simulator& simulator, const net::Network& network,
                 BneckConfig config = {}, TraceSink* trace = nullptr,
                 transport::ShardRoute route = {});
-
-  /// Seam binding: runs the control plane over an externally owned
-  /// transport backend (which must outlive the protocol and not yet be
-  /// bound).  The wire-level fields of `config` (packet_bits, loss,
-  /// reliable_links) are ignored — they belong to the backend.
-  BneckProtocol(transport::LinkTransport& transport,
-                const net::Network& network, BneckConfig config = {},
-                TraceSink* trace = nullptr);
 
   // ---- API primitives (paper §II; weight is the weighted extension) ----
 
@@ -201,23 +155,23 @@ class BneckProtocol final : public Transport,
   [[nodiscard]] bool all_tasks_stable() const;
 
   /// Total protocol packets handed to links (each hop counted once;
-  /// includes ARQ retransmissions when reliable_links is on).
+  /// includes ARQ retransmissions when wire.reliable_links is on).
   [[nodiscard]] std::uint64_t packets_sent() const { return packets_sent_; }
 
   /// Timestamp of the last wire transmission (the quiescence instant
   /// when ARQ timers pad the event queue).
   [[nodiscard]] TimeNs last_packet_time() const { return last_packet_time_; }
 
-  /// ARQ retransmissions performed (0 unless reliable_links and loss).
+  /// ARQ retransmissions performed (0 unless wire.reliable_links and
+  /// loss).
   [[nodiscard]] std::uint64_t retransmissions() const {
-    return transport_->retransmissions();
+    return transport_.retransmissions();
   }
 
-  /// The sharded engine's barrier exchange (simulator binding only): a
-  /// packet another shard posted, arriving here at absolute (future)
-  /// time t.
+  /// The sharded engine's barrier exchange: a packet another shard
+  /// posted, arriving here at absolute (future) time t.
   void deliver_inbound(TimeNs t, const Packet& p) {
-    owned_transport_->deliver_inbound(t, p);
+    transport_.deliver_inbound(t, p);
   }
 
   /// Wire transmissions by packet type (indexed by core::PacketType).
@@ -241,13 +195,12 @@ class BneckProtocol final : public Transport,
   /// per-slot session runtime (demand/weight/notified/probe counters +
   /// the SourceNode scalars), every instantiated RouterLink's session
   /// table, the transport's per-link FIFO clocks and the global
-  /// counters.  Only supported on the owned-SimTransport binding with a
-  /// loss-free wire (ARQ state is not captured).  Identity that cannot
-  /// roll backwards — a session's path, the arena of RouterLink tasks,
-  /// active_links() — is NOT part of the snapshot: sessions/links that
-  /// appear after the capture are truncated/emptied on restore instead
-  /// (an empty table is behaviorally identical to a never-instantiated
-  /// link).
+  /// counters.  Only supported on a loss-free wire (ARQ state is not
+  /// captured).  Identity that cannot roll backwards — a session's path,
+  /// the arena of RouterLink tasks, active_links() — is NOT part of the
+  /// snapshot: sessions/links that appear after the capture are
+  /// truncated/emptied on restore instead (an empty table is
+  /// behaviorally identical to a never-instantiated link).
   struct Snapshot {
     struct SessionState {
       Rate demand;
@@ -320,39 +273,12 @@ class BneckProtocol final : public Transport,
   void deliver(const Packet& p);
   void on_rate(SessionId s, Rate r);
 
-  // Devirtualized fast path for the per-packet transport calls:
-  // owned_transport_ is non-null exactly when the simulator ctor ran,
-  // and SimTransport is final, so these branches resolve to direct
-  // (LTO-inlinable) calls on the benches' hot path — the seam costs
-  // the simulator backend nothing.
-  void wire_send(LinkId physical, const Packet& p) {
-    if (owned_transport_ != nullptr) {
-      owned_transport_->send(physical, p);
-    } else {
-      transport_->send(physical, p);
-    }
-  }
-  void wire_local(const Packet& p) {
-    if (owned_transport_ != nullptr) {
-      owned_transport_->local(p);
-    } else {
-      transport_->local(p);
-    }
-  }
-  [[nodiscard]] TimeNs wire_now() const {
-    return owned_transport_ != nullptr ? owned_transport_->now()
-                                       : transport_->now();
-  }
-
   const net::Network& net_;
   BneckConfig cfg_;
   TraceSink* trace_;
   RateCallback rate_cb_;
 
-  // The wire backend.  The simulator ctor owns a SimTransport here; the
-  // seam ctor leaves it null and points transport_ at the caller's.
-  std::unique_ptr<transport::SimTransport> owned_transport_;
-  transport::LinkTransport* transport_;
+  transport::SimTransport transport_;  // the wire; reports back to *this
 
   // Task storage: RouterLink objects live in a stable-address slab
   // arena (base/slab.hpp), constructed lazily in first-use order.  A

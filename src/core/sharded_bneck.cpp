@@ -18,8 +18,8 @@ ShardedBneck::ShardedBneck(const net::Network& network, ShardedConfig config,
       cfg_(config),
       partition_(net::partition_network(
           network, {config.shards, config.balance_slack})) {
-  BNECK_EXPECT(!cfg_.protocol.reliable_links &&
-                   cfg_.protocol.loss_probability == 0.0,
+  BNECK_EXPECT(!cfg_.protocol.wire.reliable_links &&
+                   cfg_.protocol.wire.loss_probability == 0.0,
                "sharded engine requires the loss-free wire");
   const auto shards = static_cast<std::size_t>(partition_.shard_count);
   BNECK_EXPECT(traces.empty() || traces.size() == shards,
@@ -32,8 +32,7 @@ ShardedBneck::ShardedBneck(const net::Network& network, ShardedConfig config,
   std::vector<sim::Simulator*> sim_ptrs;
   for (const auto& s : sims_) sim_ptrs.push_back(s.get());
   scheduler_ = std::make_unique<sim::ShardedScheduler<Packet>>(
-      std::move(sim_ptrs),
-      partition_.lookahead == kTimeNever ? kTimeNever : partition_.lookahead,
+      std::move(sim_ptrs), partition_.lookahead,
       [this](std::int32_t dst, TimeNs t, const Packet& p) {
         protocols_[static_cast<std::size_t>(dst)]->deliver_inbound(t, p);
       });

@@ -3,9 +3,8 @@
 // The single-thread engine runs one Simulator + one BneckProtocol; this
 // engine runs K of each.  net::partition_network assigns every router
 // (and its hosts) to a shard; each shard owns a private
-// LadderQueue-backed simulator and a full BneckProtocol instance built
-// by the single-thread engine's simulator constructor (so it owns its
-// transport::SimTransport), and *no mutable state is shared between
+// LadderQueue-backed simulator and a full BneckProtocol instance (which
+// owns its transport::SimTransport), and *no mutable state is shared between
 // threads at all* — session tables, RouterLink arenas and counters are all
 // shard-private, and the only cross-thread traffic is packet batches
 // exchanged at the conservative window barriers of

@@ -14,6 +14,7 @@ CellProtocolBase::CellProtocolBase(sim::Simulator& simulator,
       channels_(static_cast<std::size_t>(network.link_count())) {
   BNECK_EXPECT(cfg_.cell_period > 0, "cell period must be positive");
   BNECK_EXPECT(cfg_.packet_bits > 0, "packet size must be positive");
+  wire_.packet_bits = cfg_.packet_bits;
 }
 
 void CellProtocolBase::join(SessionId s, net::Path path, Rate demand,
@@ -111,11 +112,9 @@ void CellProtocolBase::forward_cell(Session& sess, Cell cell) {
 
 void CellProtocolBase::transmit(Cell cell, LinkId physical) {
   const net::Link& l = net_.link(physical);
-  const TimeNs tx = static_cast<TimeNs>(
-      static_cast<double>(cfg_.packet_bits) * 1000.0 / l.capacity + 0.5);
   const TimeNs arrival =
       channels_[static_cast<std::size_t>(physical.value())].transmit(
-          sim_.now(), tx, l.prop_delay);
+          sim_.now(), wire_.control_tx_time(l), l.prop_delay);
   ++packets_;
   if (packet_listener_) packet_listener_(sim_.now());
   sim_.schedule_delivery_at(arrival, *this, cell);

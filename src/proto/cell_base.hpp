@@ -27,6 +27,7 @@
 #include "net/network.hpp"
 #include "proto/protocol.hpp"
 #include "sim/simulator.hpp"
+#include "transport/sim_transport.hpp"
 
 namespace bneck::proto {
 
@@ -116,6 +117,9 @@ class CellProtocolBase
   sim::Simulator& sim_;
   const net::Network& net_;
   CellConfig cfg_;
+  // B-Neck's wire timing at cfg_.packet_bits: one transmission-time
+  // formula for every protocol on the figures.
+  transport::WireConfig wire_;
   FlatIdMap<SessionTag, Session> sessions_;
   std::vector<sim::FifoChannel> channels_;
   std::vector<std::shared_ptr<std::function<void()>>> keepalive_;

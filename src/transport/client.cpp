@@ -12,12 +12,10 @@ SourceClient::SourceClient(const net::Network& net, Endpoint daemon,
                            const ClientOptions& opts)
     : net_(net),
       opts_(opts),
-      transport_(0),
+      transport_(*this, opts.reliability),
       daemon_(daemon),
       access_live_(static_cast<std::size_t>(net.link_count()), false) {
-  transport_.bind(*this);
   transport_.set_peer(daemon_);
-  transport_.enable_reliability(opts_.reliability);
   transport_.set_join_path_lookup(
       [this](SessionId s) -> std::span<const LinkId> {
         const auto it = sessions_.find(s);

@@ -15,10 +15,8 @@ using wire::RejectReason;
 Daemon::Daemon(const net::Network& net, const DaemonOptions& opts)
     : net_(net),
       opts_(opts),
-      transport_(opts.port),
+      transport_(*this, opts.reliability, opts.port),
       link_slot_(static_cast<std::size_t>(net.link_count()), -1) {
-  transport_.bind(*this);
-  transport_.enable_reliability(opts_.reliability);
   if (opts_.faults && opts_.faults->any()) {
     fault_.emplace(*opts_.faults);
     transport_.set_fault_injector(&*fault_);

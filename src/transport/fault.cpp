@@ -1,6 +1,7 @@
 #include "transport/fault.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 
@@ -19,8 +20,28 @@ FaultConfig FaultConfig::standard(std::uint64_t seed) {
   return f;
 }
 
+namespace {
+
+// Reads all of `val` as a decimal unsigned integer no larger than `max`:
+// digits only (no sign, no space), nothing after them.
+bool parse_uint(const std::string& val, std::uint64_t max,
+                std::uint64_t* out) {
+  if (val.empty() || val[0] < '0' || val[0] > '9') return false;
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long x = std::strtoull(val.c_str(), &end, 10);
+  if (errno == ERANGE || *end != '\0' || x > max) return false;
+  *out = x;
+  return true;
+}
+
+}  // namespace
+
 std::optional<FaultConfig> FaultConfig::parse(const std::string& spec,
                                               std::string* error) {
+  // One day: a held frame's release time, now + delay, must not
+  // overflow a TimeNs.
+  constexpr std::uint64_t kMaxDelayMs = 24 * 3600 * 1000;
   FaultConfig f;  // all-zero probabilities: only what the spec names
   std::size_t pos = 0;
   while (pos < spec.size()) {
@@ -36,38 +57,47 @@ std::optional<FaultConfig> FaultConfig::parse(const std::string& spec,
     }
     const std::string key = item.substr(0, eq);
     const std::string val = item.substr(eq + 1);
+    if (key == "seed" || key == "delay-min-ms" || key == "delay-max-ms") {
+      const bool is_seed = key == "seed";
+      std::uint64_t n = 0;
+      if (!parse_uint(val, is_seed ? UINT64_MAX : kMaxDelayMs, &n)) {
+        if (error) {
+          *error = "'" + key + "' must be a whole number" +
+                   (is_seed ? " below 2^64"
+                            : " of milliseconds, at most a day");
+        }
+        return std::nullopt;
+      }
+      if (is_seed) {
+        f.seed = n;
+      } else if (key == "delay-min-ms") {
+        f.delay_min = milliseconds(static_cast<std::int64_t>(n));
+      } else {
+        f.delay_max = milliseconds(static_cast<std::int64_t>(n));
+      }
+      continue;
+    }
+    double* const prob = key == "drop"      ? &f.drop
+                         : key == "dup"     ? &f.duplicate
+                         : key == "reorder" ? &f.reorder
+                         : key == "corrupt" ? &f.corrupt
+                         : key == "delay"   ? &f.delay
+                                            : nullptr;
+    if (prob == nullptr) {
+      if (error) *error = "unknown fault key '" + key + "'";
+      return std::nullopt;
+    }
     char* end = nullptr;
     const double x = std::strtod(val.c_str(), &end);
     if (end == val.c_str() || *end != '\0') {
       if (error) *error = "bad value for '" + key + "'";
       return std::nullopt;
     }
-    const bool is_prob = key == "drop" || key == "dup" || key == "reorder" ||
-                         key == "corrupt" || key == "delay";
-    if (is_prob && (x < 0.0 || x >= 1.0)) {
+    if (!(x >= 0.0 && x < 1.0)) {  // NaN fails too
       if (error) *error = "probability '" + key + "' must be in [0,1)";
       return std::nullopt;
     }
-    if (key == "seed") {
-      f.seed = static_cast<std::uint64_t>(x);
-    } else if (key == "drop") {
-      f.drop = x;
-    } else if (key == "dup") {
-      f.duplicate = x;
-    } else if (key == "reorder") {
-      f.reorder = x;
-    } else if (key == "corrupt") {
-      f.corrupt = x;
-    } else if (key == "delay") {
-      f.delay = x;
-    } else if (key == "delay-min-ms") {
-      f.delay_min = milliseconds(static_cast<std::int64_t>(x));
-    } else if (key == "delay-max-ms") {
-      f.delay_max = milliseconds(static_cast<std::int64_t>(x));
-    } else {
-      if (error) *error = "unknown fault key '" + key + "'";
-      return std::nullopt;
-    }
+    *prob = x;
   }
   if (f.delay_max < f.delay_min) {
     if (error) *error = "delay-max-ms below delay-min-ms";

@@ -65,8 +65,10 @@ struct FaultConfig {
   [[nodiscard]] static FaultConfig standard(std::uint64_t seed);
 
   /// Parses "key=value,..." with keys seed, drop, dup, reorder,
-  /// corrupt, delay, delay-min-ms, delay-max-ms.  Returns nullopt (and
-  /// sets *error) on malformed input.
+  /// corrupt, delay, delay-min-ms, delay-max-ms.  The seed and the
+  /// delays are unsigned integers (a delay at most one day), the
+  /// probabilities numbers in [0,1).
+  /// Returns nullopt (and sets *error) on malformed input.
   [[nodiscard]] static std::optional<FaultConfig> parse(
       const std::string& spec, std::string* error);
 

@@ -9,9 +9,11 @@
 namespace bneck::transport {
 
 SimTransport::SimTransport(sim::Simulator& sim, const net::Network& net,
-                           WireConfig cfg, ShardRoute route)
+                           TransportSink& sink, WireConfig cfg,
+                           ShardRoute route)
     : sim_(sim),
       net_(net),
+      sink_(sink),
       cfg_(cfg),
       route_(std::move(route)),
       channels_(static_cast<std::size_t>(net.link_count())),
@@ -22,11 +24,6 @@ SimTransport::SimTransport(sim::Simulator& sim, const net::Network& net,
                "loss probability must be in [0,1)");
   BNECK_EXPECT(route_.partition == nullptr || lossless(),
                "sharded engine requires the loss-free wire");
-}
-
-void SimTransport::bind(TransportSink& sink) {
-  BNECK_EXPECT(sink_ == nullptr, "transport already bound");
-  sink_ = &sink;
 }
 
 SimArqLink::SimArqLink(sim::Simulator& sim, TransportSink& sink,
@@ -115,7 +112,7 @@ SimArqLink& SimTransport::arq_link_at(LinkId physical) {
     const TimeNs ack_tx = tx_time(rev);
     slot = static_cast<std::int32_t>(arq_arena_.size());
     arq_arena_.emplace_back(
-        sim_, *sink_, physical,
+        sim_, sink_, physical,
         channels_[static_cast<std::size_t>(physical.value())],
         channels_[static_cast<std::size_t>(l.reverse.value())], data_tx,
         l.prop_delay, ack_tx, rev.prop_delay,
@@ -134,7 +131,6 @@ std::uint64_t SimTransport::retransmissions() const {
 }
 
 void SimTransport::send(LinkId physical, const core::Packet& p) {
-  BNECK_EXPECT(sink_ != nullptr, "transport not bound");
   if (cfg_.reliable_links) {
     arq_link_at(physical).send(p);
     return;
@@ -142,7 +138,7 @@ void SimTransport::send(LinkId physical, const core::Packet& p) {
   const net::Link& l = net_.link(physical);
   const TimeNs arrival = channels_[static_cast<std::size_t>(physical.value())]
                              .transmit(sim_.now(), tx_time(l), l.prop_delay);
-  sink_->on_wire(p, physical);
+  sink_.on_wire(p, physical);
   if (cfg_.loss_probability > 0 && loss_rng_.chance(cfg_.loss_probability)) {
     return;  // the paper's reliability assumption, violated on purpose
   }
@@ -159,7 +155,6 @@ void SimTransport::send(LinkId physical, const core::Packet& p) {
 }
 
 void SimTransport::local(const core::Packet& p) {
-  BNECK_EXPECT(sink_ != nullptr, "transport not bound");
   sim_.schedule_delivery_in(0, *this, p);
 }
 

@@ -1,15 +1,15 @@
-// The simulated-wire backend of the transport seam.
+// The simulated wire.
 //
-// SimTransport implements LinkTransport on the discrete-event
-// simulator, reproducing the paper's timing model exactly: a packet
-// handed to a directed link serializes behind earlier packets on that
-// link (sim::FifoChannel), occupies it for the control-packet
-// transmission time, propagates, and arrives as one allocation-free
-// typed event.  With `reliable_links` every physical link runs through
-// a SimArqLink instead — the go-back-N core (transport/reliable.hpp)
-// driven by simulator events, for exactly-once in-order delivery over
-// lossy wires; with bare loss_probability > 0, packets simply vanish
-// (the paper's reliability assumption, violated on purpose).
+// SimTransport is the discrete-event wire core::BneckProtocol owns,
+// reproducing the paper's timing model exactly: a packet handed to a
+// directed link serializes behind earlier packets on that link
+// (sim::FifoChannel), occupies it for the control-packet transmission
+// time, propagates, and arrives as one allocation-free typed event.
+// With `reliable_links` every physical link runs through a SimArqLink
+// instead — the go-back-N core (transport/reliable.hpp) driven by
+// simulator events, for exactly-once in-order delivery over lossy
+// wires; with bare loss_probability > 0, packets simply vanish (the
+// paper's reliability assumption, violated on purpose).
 //
 // The sharded engine (core/sharded_bneck.hpp) runs one SimTransport per
 // shard, each given a ShardRoute: a send on a link whose destination
@@ -18,10 +18,9 @@
 // owns its source node), but its arrival is handed to the route's post
 // function instead of the local event queue.
 //
-// This is the reference backend: every figure bench, golden trace and
-// fuzz campaign runs on it, and the refactor that introduced the seam
-// is pinned byte-identical against the pre-seam event order
-// (tests/transport_equiv_test.cpp).
+// Every figure bench, golden trace and fuzz campaign runs on this wire;
+// tests/transport_equiv_test.cpp pins its event order byte-identical to
+// the tree from before the wire was split out of the protocol binding.
 #pragma once
 
 #include <cstdint>
@@ -39,24 +38,31 @@
 
 namespace bneck::transport {
 
-/// Wire-level knobs, split out of core::BneckConfig (whose wire()
-/// accessor builds one — the protocol-facing config stays the single
-/// user-visible surface).
+/// Wire-level knobs; core::BneckConfig embeds one as its `wire` field.
 struct WireConfig {
-  /// Control packet size in bits; determines per-hop transmission time.
+  /// Control packet size in bits; determines per-hop transmission time
+  /// (the paper models transmission and propagation times, §IV).
   std::int64_t packet_bits = 512;
-  /// When false, packets only incur propagation delay.
+  /// When false, packets only incur propagation delay (useful to study
+  /// the algorithm free of serialization effects).
   bool model_transmission = true;
-  /// Run every physical link through go-back-N ARQ.
+  /// Runs every physical link through go-back-N ARQ (SimArqLink over
+  /// the ReliableChannel core, transport/reliable.hpp): exactly-once
+  /// in-order delivery over lossy links, still quiescent (no unacked
+  /// data -> no timers, no traffic).
   bool reliable_links = false;
-  /// Probability that a wire transmission is lost.
+  /// Fault injection: probability that a wire transmission is lost.
+  /// Without reliable_links, a lost packet deadlocks the affected
+  /// sessions (the paper assumes reliable links).
   double loss_probability = 0.0;
   /// Seed for the loss process (deterministic fault injection).
   std::uint64_t loss_seed = 0x10552024;
 
   /// Transmission time of one control packet on `l` — THE definition of
   /// the simulation's store-and-forward timing, shared with external
-  /// observers (src/check/ derives quiescence bounds from it).
+  /// observers (src/check/ derives quiescence bounds from it, and the
+  /// baseline protocols' RM cells use it; a private copy would silently
+  /// drift).
   [[nodiscard]] TimeNs control_tx_time(const net::Link& l) const {
     if (!model_transmission) return 0;
     // bits / (capacity Mbps * 1e6 bit/s), expressed in nanoseconds.
@@ -159,26 +165,31 @@ struct ShardRoute {
   PostFn post;
 };
 
+/// The simulated wire (contract in transport.hpp).
 class SimTransport final
-    : public LinkTransport,
-      public sim::DeliveryHandlerOf<SimTransport, core::Packet> {
+    : public sim::DeliveryHandlerOf<SimTransport, core::Packet> {
   friend sim::DeliveryHandlerOf<SimTransport, core::Packet>;
 
  public:
-  /// A non-default `route` requires the loss-free wire: the lossy and
-  /// go-back-N modes keep per-link state that the shard ownership
+  /// Reports crossings and arrivals to `sink`, which must outlive the
+  /// wire.  A non-default `route` requires the loss-free wire: the lossy
+  /// and go-back-N modes keep per-link state that the shard ownership
   /// argument does not cover.
   SimTransport(sim::Simulator& sim, const net::Network& net,
-               WireConfig cfg = {}, ShardRoute route = {});
+               TransportSink& sink, WireConfig cfg = {},
+               ShardRoute route = {});
 
   SimTransport(const SimTransport&) = delete;
   SimTransport& operator=(const SimTransport&) = delete;
 
-  void bind(TransportSink& sink) override;
-  void send(LinkId physical, const core::Packet& p) override;
-  void local(const core::Packet& p) override;
-  [[nodiscard]] TimeNs now() const override { return sim_.now(); }
-  [[nodiscard]] std::uint64_t retransmissions() const override;
+  /// Hands `p` (hop already set) to directed link `physical`.
+  void send(LinkId physical, const core::Packet& p);
+  /// Host-internal handoff: delivered to the sink at the current
+  /// instant, after the running handler returns.
+  void local(const core::Packet& p);
+  [[nodiscard]] TimeNs now() const { return sim_.now(); }
+  /// Go-back-N retransmissions performed (0 unless reliable_links).
+  [[nodiscard]] std::uint64_t retransmissions() const;
 
   /// Entry point for the sharded scheduler's barrier exchange: a packet
   /// another shard posted, arriving here at absolute (future) time t.
@@ -215,13 +226,13 @@ class SimTransport final
   [[nodiscard]] TimeNs tx_time(const net::Link& l) const {
     return cfg_.control_tx_time(l);
   }
-  void on_delivery(const core::Packet& p) { sink_->on_packet(p); }
+  void on_delivery(const core::Packet& p) { sink_.on_packet(p); }
 
   sim::Simulator& sim_;
   const net::Network& net_;
+  TransportSink& sink_;
   WireConfig cfg_;
   ShardRoute route_;
-  TransportSink* sink_ = nullptr;
 
   std::vector<sim::FifoChannel> channels_;  // per directed link
   // SimArqLink objects live in a stable-address slab arena, constructed

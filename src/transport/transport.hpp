@@ -1,39 +1,35 @@
-// The transport seam: how the protocol binding crosses a wire.
+// How a wire hands packets back to the binding that owns it.
 //
-// Above this interface sits the control plane — core::BneckProtocol and
-// its tasks (RouterLink, SourceNode), which decide *what* to send and
-// to which hop.  Below it sits a backend that decides *how* a packet
-// crosses the physical directed link: the discrete-event simulator
-// (transport::SimTransport, the reference backend every figure bench
-// and golden trace runs on) or real nonblocking UDP sockets
-// (transport::UdpTransport, the backend behind the `bneckd` daemon).
-// The binding never touches sim::Simulator or a socket directly; it
-// talks to a LinkTransport and receives packets back through its
-// TransportSink.
+// Each binding owns one concrete wire, wired at construction: the
+// protocol binding core::BneckProtocol owns a transport::SimTransport
+// (the discrete-event wire every figure bench and golden trace runs on),
+// and the bneckd endpoints (transport::Daemon, transport::SourceClient)
+// each own a transport::UdpTransport over nonblocking loopback sockets.
+// The owner decides *what* to send and to which hop and calls its wire's
+// send(physical, p) / local(p); the wire decides *how* the packet crosses
+// the directed link and reports back through the TransportSink it was
+// constructed with.
 //
-// Contract:
+// Contract shared by both wires:
 //   * send(physical, p) hands p — with p.hop already set to the
 //     receiving hop — to the wire of directed link `physical`.
-//     Delivery is asynchronous: the backend invokes sink.on_wire once
-//     per actual wire crossing (so ARQ retransmissions count) and
+//     Delivery is asynchronous: the wire invokes sink.on_wire once per
+//     actual wire crossing (so ARQ retransmissions count) and
 //     sink.on_packet when the packet arrives at the far end.
 //   * local(p) is a host-internal handoff (shared-access mode): no
 //     wire, no delay, but still asynchronous — delivered after the
 //     current handler returns, preserving run-to-completion semantics.
-//   * now() is the backend's clock: simulated time for SimTransport,
-//     monotonic wall-clock nanoseconds for UdpTransport.  All protocol
-//     timestamps (traces, API.Rate callbacks) come from here.
+//   * now() is the wire's clock: simulated time for SimTransport,
+//     monotonic wall-clock nanoseconds for UdpTransport.
 #pragma once
 
-#include <cstdint>
-
 #include "base/ids.hpp"
-#include "base/time.hpp"
 #include "core/packet.hpp"
 
 namespace bneck::transport {
 
-/// Receives packets back from a LinkTransport.
+/// Receives packets back from a wire.  The sink must outlive the wire
+/// that was constructed with it.
 class TransportSink {
  public:
   virtual ~TransportSink() = default;
@@ -45,31 +41,6 @@ class TransportSink {
   /// `p` arrived at the far end of its link (or completed a local
   /// handoff); p.hop addresses the receiving task.
   virtual void on_packet(const core::Packet& p) = 0;
-};
-
-/// A wire backend.  Implementations: SimTransport (sim_transport.hpp),
-/// UdpTransport (udp.hpp).
-class LinkTransport {
- public:
-  virtual ~LinkTransport() = default;
-
-  /// Must be called exactly once, before the first send; the sink must
-  /// outlive the transport.  (The binding constructs the transport
-  /// before itself, so the sink cannot be a constructor argument.)
-  virtual void bind(TransportSink& sink) = 0;
-
-  /// Hands `p` (hop already set) to directed link `physical`.
-  virtual void send(LinkId physical, const core::Packet& p) = 0;
-
-  /// Host-internal handoff: delivered to the sink at the current
-  /// instant, after the running handler returns.
-  virtual void local(const core::Packet& p) = 0;
-
-  /// The backend's clock, in nanoseconds.
-  [[nodiscard]] virtual TimeNs now() const = 0;
-
-  /// Link-layer retransmissions performed (ARQ backends only).
-  [[nodiscard]] virtual std::uint64_t retransmissions() const { return 0; }
 };
 
 }  // namespace bneck::transport

@@ -202,23 +202,17 @@ struct UdpTransport::Io {
   }
 };
 
-UdpTransport::UdpTransport(std::uint16_t port)
-    : socket_(port), io_(std::make_unique<Io>()) {}
+UdpTransport::UdpTransport(TransportSink& sink,
+                           const ReliableConfig& reliability,
+                           std::uint16_t port)
+    : socket_(port),
+      io_(std::make_unique<Io>()),
+      sink_(sink),
+      reliable_cfg_(reliability) {}
 
 UdpTransport::~UdpTransport() = default;
 
-void UdpTransport::bind(TransportSink& sink) {
-  BNECK_EXPECT(sink_ == nullptr, "transport already bound");
-  sink_ = &sink;
-}
-
 TimeNs UdpTransport::now() const { return monotonic_now(); }
-
-void UdpTransport::enable_reliability(const ReliableConfig& cfg) {
-  BNECK_EXPECT(channels_.empty(), "enable_reliability after traffic");
-  reliable_ = true;
-  reliable_cfg_ = cfg;
-}
 
 UdpTransport::DatagramChannel* UdpTransport::channel_for(
     const Endpoint& ep) {
@@ -287,7 +281,6 @@ void UdpTransport::flush() {
 }
 
 void UdpTransport::send(LinkId physical, const core::Packet& p) {
-  BNECK_EXPECT(sink_ != nullptr, "transport not bound");
   const Endpoint* to = &peer_;
   if (peer_resolver_) {
     to = peer_resolver_(p);
@@ -302,22 +295,17 @@ void UdpTransport::send(LinkId physical, const core::Packet& p) {
   } else {
     wire::encode_packet(p, encode_buf_);
   }
-  sink_->on_wire(p, physical);
-  if (reliable_) {
-    DatagramChannel* ch = channel_for(*to);
-    if (ch != nullptr) {
-      std::vector<std::uint8_t> frame;
-      wire::encode_data(ch->next_seq(), encode_buf_, frame);
-      ch->send(std::move(frame), now());
-    }
-  } else {
-    egress(*to, encode_buf_);
+  sink_.on_wire(p, physical);
+  DatagramChannel* ch = channel_for(*to);
+  if (ch != nullptr) {
+    std::vector<std::uint8_t> frame;
+    wire::encode_data(ch->next_seq(), encode_buf_, frame);
+    ch->send(std::move(frame), now());
   }
   if (!pumping_) flush();
 }
 
 void UdpTransport::local(const core::Packet& p) {
-  BNECK_EXPECT(sink_ != nullptr, "transport not bound");
   pending_.push_back(p);
 }
 
@@ -332,7 +320,7 @@ void UdpTransport::drain_local() {
   while (!pending_.empty()) {
     const core::Packet p = pending_.front();
     pending_.pop_front();
-    sink_->on_packet(p);
+    sink_.on_packet(p);
   }
 }
 
@@ -388,7 +376,7 @@ std::size_t UdpTransport::drain_socket() {
       if (frame_handler_) {
         frame_handler_(r.frame, from);
       } else if (r.frame.kind == wire::FrameKind::Packet) {
-        sink_->on_packet(r.frame.packet);
+        sink_.on_packet(r.frame.packet);
       }
       drain_local();  // handoffs triggered by this frame, FIFO
     }
@@ -431,7 +419,6 @@ TimeNs UdpTransport::next_timer_deadline() const {
 }
 
 std::size_t UdpTransport::pump(int timeout_ms) {
-  BNECK_EXPECT(sink_ != nullptr, "transport not bound");
   // Sends made while pumping only queue; the scope's end flushes them.
   struct Scope {
     UdpTransport& t;

@@ -1,26 +1,25 @@
-// The socket-backed side of the transport seam.
+// The socket-backed wire.
 //
 // UdpSocket is a thin RAII wrapper over a nonblocking IPv4/UDP socket
 // (loopback-oriented: bneckd and its clients talk over 127.0.0.1, one
-// wire frame per datagram).  UdpTransport implements LinkTransport on
-// top of it: outbound packets are encoded through src/wire and sent to
-// a peer — a fixed endpoint for a client (everything goes to the
-// daemon) or a per-session endpoint resolved from the daemon's session
-// registry — and inbound datagrams are decoded and dispatched by
-// pump().
+// wire frame per datagram).  UdpTransport is the wire transport::Daemon
+// and transport::SourceClient each own on top of it (contract in
+// transport.hpp): outbound packets are encoded through src/wire and
+// sent to a peer — a fixed endpoint for a client (everything goes to
+// the daemon) or a per-session endpoint resolved from the daemon's
+// session registry — and inbound datagrams are decoded and dispatched
+// by pump().
 //
 // Unlike SimTransport there is no virtual time and no loss model: the
-// clock is CLOCK_MONOTONIC.  Reliability is explicit:
-// enable_reliability() routes outbound Packet frames through a per-peer
-// transport::ReliableChannel (Data/Ack frames, retransmit timers,
-// dedup), and set_fault_injector() interposes a deterministic lossy
-// network on every egress datagram — including acks and control frames
-// — so the repair machinery is exercised end to end.  Inbound Data
-// frames are always handled (acked, deduplicated, delivered in order)
-// whether or not outbound reliability is on, and bare Packet frames
-// remain accepted for tests and hostile-ingress probing.  Decode
-// failures are counted and dropped — a hostile or corrupted datagram
-// must never take the process down.
+// clock is CLOCK_MONOTONIC.  Every outbound Packet frame rides a
+// per-peer transport::ReliableChannel (Data/Ack frames, retransmit
+// timers, dedup) configured at construction, and set_fault_injector()
+// interposes a deterministic lossy network on every egress datagram —
+// including acks and control frames — so the repair machinery is
+// exercised end to end.  Inbound Data frames are acked, deduplicated
+// and delivered in order; bare Packet frames remain accepted for tests
+// and hostile-ingress probing.  Decode failures are counted and dropped
+// — a hostile or corrupted datagram must never take the process down.
 //
 // Datagrams move in batches of up to kBatch, still one frame each.
 // Ingress reads with recvmmsg; each receive batch ends with one
@@ -95,13 +94,13 @@ class UdpSocket {
   int fd_ = -1;
 };
 
-/// LinkTransport over UDP datagrams.  The owner decides where frames
-/// go (set_peer / set_peer_resolver), how Join frames learn their path
-/// suffix (set_join_path_lookup), and what happens to inbound frames
+/// The UDP wire.  The owner decides where frames go (set_peer /
+/// set_peer_resolver), how Join frames learn their path suffix
+/// (set_join_path_lookup), and what happens to inbound frames
 /// (set_frame_handler); pump() drives the host-internal handoff queue,
 /// the socket, the per-peer retransmit timers and the fault injector's
 /// held-frame queue.
-class UdpTransport final : public LinkTransport {
+class UdpTransport {
  public:
   using PeerResolver = std::function<const Endpoint*(const core::Packet&)>;
   using JoinPathLookup =
@@ -118,9 +117,13 @@ class UdpTransport final : public LinkTransport {
   /// Datagrams per recvmmsg/sendmmsg call.
   static constexpr std::size_t kBatch = 32;
 
-  /// Binds 127.0.0.1:`port` (0 = ephemeral).
-  explicit UdpTransport(std::uint16_t port = 0);
-  ~UdpTransport() override;
+  /// Binds 127.0.0.1:`port` (0 = ephemeral) and reports to `sink`,
+  /// which must outlive the wire.  Outbound packets ride per-peer
+  /// go-back-N channels configured by `reliability`; per-peer jitter
+  /// seeds are derived from reliability.seed and the peer address.
+  UdpTransport(TransportSink& sink, const ReliableConfig& reliability,
+               std::uint16_t port = 0);
+  ~UdpTransport();
 
   [[nodiscard]] Endpoint local_endpoint() const {
     return socket_.local_endpoint();
@@ -141,24 +144,18 @@ class UdpTransport final : public LinkTransport {
     frame_handler_ = std::move(handler);
   }
 
-  /// Routes outbound Packet frames through per-peer ReliableChannels
-  /// from now on.  Call before any traffic; per-peer jitter seeds are
-  /// derived from cfg.seed and the peer address.
-  void enable_reliability(const ReliableConfig& cfg);
-  [[nodiscard]] bool reliable() const { return reliable_; }
-
   /// Interposes `injector` on every egress datagram (not owned; may be
   /// nullptr to remove).  Zero-cost when absent: one branch per send.
   void set_fault_injector(FaultInjector* injector) { fault_ = injector; }
   [[nodiscard]] FaultInjector* fault_injector() const { return fault_; }
 
-  // -- LinkTransport --
-  void bind(TransportSink& sink) override;
-  void send(LinkId physical, const core::Packet& p) override;
-  void local(const core::Packet& p) override;
+  /// Encodes `p` (hop already set) into a Data frame for its peer.
+  void send(LinkId physical, const core::Packet& p);
+  /// Host-internal handoff, delivered to the sink by the next pump().
+  void local(const core::Packet& p);
   /// CLOCK_MONOTONIC nanoseconds.
-  [[nodiscard]] TimeNs now() const override;
-  [[nodiscard]] std::uint64_t retransmissions() const override;
+  [[nodiscard]] TimeNs now() const;
+  [[nodiscard]] std::uint64_t retransmissions() const;
 
   /// Sends an encoded non-packet control frame (through the fault
   /// injector when one is installed).  Queued behind earlier egress;
@@ -231,13 +228,12 @@ class UdpTransport final : public LinkTransport {
 
   UdpSocket socket_;
   std::unique_ptr<Io> io_;
-  TransportSink* sink_ = nullptr;
+  TransportSink& sink_;
   Endpoint peer_;
   PeerResolver peer_resolver_;
   JoinPathLookup join_path_;
   FrameHandler frame_handler_;
 
-  bool reliable_ = false;
   ReliableConfig reliable_cfg_;
   std::unordered_map<Endpoint, DatagramChannel, EndpointHash> channels_;
   FaultInjector* fault_ = nullptr;

@@ -204,9 +204,9 @@ void run_lossy_bneck(double loss, bool reliable, std::uint64_t seed,
   const net::PathFinder paths(n);
   sim::Simulator sim;
   BneckConfig cfg;
-  cfg.loss_probability = loss;
-  cfg.reliable_links = reliable;
-  cfg.loss_seed = seed;
+  cfg.wire.loss_probability = loss;
+  cfg.wire.reliable_links = reliable;
+  cfg.wire.loss_seed = seed;
   BneckProtocol bneck(sim, n, cfg);
   for (int i = 0; i < 4; ++i) {
     bneck.join(SessionId{i},
@@ -261,8 +261,8 @@ TEST(BneckLossy, RetransmissionsAreCountedAndBounded) {
   const net::PathFinder paths(n);
   sim::Simulator sim;
   BneckConfig cfg;
-  cfg.loss_probability = 0.2;
-  cfg.reliable_links = true;
+  cfg.wire.loss_probability = 0.2;
+  cfg.wire.reliable_links = true;
   BneckProtocol bneck(sim, n, cfg);
   bneck.join(SessionId{0}, *paths.shortest_path(n.hosts()[0], n.hosts()[2]),
              kRateInfinity);
@@ -280,8 +280,8 @@ TEST(BneckLossy, QuiescentAfterArqDrains) {
   const net::PathFinder paths(n);
   sim::Simulator sim;
   BneckConfig cfg;
-  cfg.loss_probability = 0.15;
-  cfg.reliable_links = true;
+  cfg.wire.loss_probability = 0.15;
+  cfg.wire.reliable_links = true;
   BneckProtocol bneck(sim, n, cfg);
   bneck.join(SessionId{0}, *paths.shortest_path(n.hosts()[0], n.hosts()[2]),
              kRateInfinity);
@@ -299,8 +299,8 @@ TEST(BneckLossy, DynamicsSurviveLoss) {
   const net::PathFinder paths(n);
   sim::Simulator sim;
   BneckConfig cfg;
-  cfg.loss_probability = 0.15;
-  cfg.reliable_links = true;
+  cfg.wire.loss_probability = 0.15;
+  cfg.wire.reliable_links = true;
   BneckProtocol bneck(sim, n, cfg);
   for (int i = 0; i < 6; ++i) {
     auto path = *paths.shortest_path(n.hosts()[static_cast<std::size_t>(i)],

@@ -836,7 +836,7 @@ TEST(Bneck, TextTracerSessionFilter) {
 
 TEST(Bneck, DisablingTransmissionTimeStillConverges) {
   BneckConfig cfg;
-  cfg.model_transmission = false;
+  cfg.wire.model_transmission = false;
   const auto n = topo::make_dumbbell(3, 90.0);
   Harness h(n, cfg);
   for (int i = 0; i < 3; ++i) {

@@ -156,10 +156,10 @@ TEST(McPinned, ExactBoundsSitFarInsideTheCalibratedEnvelope) {
     for (const LinkId e : p->links) {
       const net::Link& l = net.link(e);
       const net::Link& rev = net.link(l.reverse);
-      rtt += l.prop_delay + cfg.control_tx_time(l);
-      rtt += rev.prop_delay + cfg.control_tx_time(rev);
+      rtt += l.prop_delay + cfg.wire.control_tx_time(l);
+      rtt += rev.prop_delay + cfg.wire.control_tx_time(rev);
       max_tx = std::max(
-          {max_tx, cfg.control_tx_time(l), cfg.control_tx_time(rev)});
+          {max_tx, cfg.wire.control_tx_time(l), cfg.wire.control_tx_time(rev)});
     }
     max_rtt = std::max(max_rtt, rtt);
     hops += p->links.size();

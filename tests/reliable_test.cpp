@@ -423,9 +423,23 @@ TEST(FaultInjector, ParseRoundTripsAndRejectsNonsense) {
   EXPECT_DOUBLE_EQ(again->drop, cfg->drop);
   EXPECT_EQ(again->delay_max, cfg->delay_max);
 
+  // The seed is read as an integer, all 64 bits of it.
+  const auto big = FaultConfig::parse("seed=9007199254740993", &error);
+  ASSERT_TRUE(big.has_value()) << error;
+  EXPECT_EQ(big->seed, 9007199254740993u);
+  const auto max = FaultConfig::parse("seed=18446744073709551615", &error);
+  ASSERT_TRUE(max.has_value()) << error;
+  EXPECT_EQ(max->seed, UINT64_MAX);
+  const auto day = FaultConfig::parse("delay-max-ms=86400000", &error);
+  ASSERT_TRUE(day.has_value()) << error;
+  EXPECT_EQ(day->delay_max, milliseconds(86400000));
+
   for (const char* bad :
        {"drop=1.5", "drop=0.6,dup=0.6", "nonsense=1", "drop=x",
-        "delay=0.1,delay-min-ms=9,delay-max-ms=2", "drop"}) {
+        "delay=0.1,delay-min-ms=9,delay-max-ms=2", "drop", "drop=nan",
+        "dup=-nan", "delay-min-ms=-5", "delay-max-ms=1.9", "delay-max-ms=",
+        "delay-max-ms=86400001", "seed=-1", "seed=+7", "seed= 7",
+        "seed=7x", "seed=1e3", "seed=18446744073709551616"}) {
     EXPECT_FALSE(FaultConfig::parse(bad, &error).has_value()) << bad;
     EXPECT_FALSE(error.empty());
   }

@@ -1,23 +1,21 @@
-// SimTransport equivalence: the transport-seam refactor must not move
-// a single byte of observable behavior.
+// SimTransport equivalence: splitting the wire out of the protocol
+// binding must not move a single byte of observable behavior.
 //
-// Three scenarios pinned from the pre-seam tree (each trace captured at
-// the commit before src/transport existed, when BneckProtocol talked to
-// the Simulator directly):
+// Three scenarios pinned from the tree before src/transport existed
+// (each trace captured when BneckProtocol talked to the Simulator
+// directly):
 //
 //   * the PR 4 unweighted 94-line golden trace (also pinned, against
 //     the same constant, in weighted_protocol_test.cpp),
 //   * a weighted variant (non-uniform weights, a weight change),
 //   * a shared-access variant (three sessions on one source host).
 //
-// Each runs twice: through the implicit constructor (the protocol owns
-// its SimTransport — every pre-seam caller compiles into this path) and
-// through the seam constructor with an externally owned SimTransport.
-// All six traces must equal the pre-seam bytes exactly: same packets,
-// same order, same timestamps, same loss-RNG draws.
+// Each runs through the protocol and the SimTransport it owns.  The
+// traces must equal the pinned bytes exactly: same packets, same order,
+// same timestamps.
 //
-// A fourth trace pins the go-back-N layer (reliable_links, 20% loss),
-// whose retransmissions show up as repeated wire sends.
+// A fourth trace pins the go-back-N layer (wire.reliable_links, 20%
+// loss), whose retransmissions show up as repeated wire sends.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -28,7 +26,6 @@
 #include "net/routing.hpp"
 #include "sim/simulator.hpp"
 #include "topo/canonical.hpp"
-#include "transport/sim_transport.hpp"
 
 namespace bneck::core {
 namespace {
@@ -486,21 +483,14 @@ net::Network make_net() {
 }
 
 template <class Driver>
-std::string run_trace(BneckConfig cfg, bool external_transport,
-                      Driver&& drive) {
+std::string run_trace(BneckConfig cfg, Driver&& drive) {
   const net::Network n = make_net();
   const net::PathFinder pf(n);
   sim::Simulator sim;
   std::ostringstream os;
   TextTracer tracer(os);
-  if (external_transport) {
-    transport::SimTransport transport(sim, n, cfg.wire());
-    BneckProtocol bneck(transport, n, cfg, &tracer);
-    drive(bneck, sim, pf, n.hosts());
-  } else {
-    BneckProtocol bneck(sim, n, cfg, &tracer);
-    drive(bneck, sim, pf, n.hosts());
-  }
+  BneckProtocol bneck(sim, n, cfg, &tracer);
+  drive(bneck, sim, pf, n.hosts());
   return os.str();
 }
 
@@ -545,44 +535,17 @@ void drive_shared(BneckProtocol& bneck, sim::Simulator& sim,
 }
 
 TEST(TransportEquiv, UnweightedGoldenTraceImplicitTransport) {
-  EXPECT_EQ(run_trace({}, false, drive_unweighted), kGoldenUnweightedTrace);
-}
-
-TEST(TransportEquiv, UnweightedGoldenTraceExplicitTransport) {
-  EXPECT_EQ(run_trace({}, true, drive_unweighted), kGoldenUnweightedTrace);
+  EXPECT_EQ(run_trace({}, drive_unweighted), kGoldenUnweightedTrace);
 }
 
 TEST(TransportEquiv, WeightedGoldenTraceImplicitTransport) {
-  EXPECT_EQ(run_trace({}, false, drive_weighted), kGoldenWeightedTrace);
-}
-
-TEST(TransportEquiv, WeightedGoldenTraceExplicitTransport) {
-  EXPECT_EQ(run_trace({}, true, drive_weighted), kGoldenWeightedTrace);
+  EXPECT_EQ(run_trace({}, drive_weighted), kGoldenWeightedTrace);
 }
 
 TEST(TransportEquiv, SharedAccessGoldenTraceImplicitTransport) {
   BneckConfig cfg;
   cfg.shared_access_links = true;
-  EXPECT_EQ(run_trace(cfg, false, drive_shared), kGoldenSharedTrace);
-}
-
-TEST(TransportEquiv, SharedAccessGoldenTraceExplicitTransport) {
-  BneckConfig cfg;
-  cfg.shared_access_links = true;
-  EXPECT_EQ(run_trace(cfg, true, drive_shared), kGoldenSharedTrace);
-}
-
-// The two construction paths must agree in the lossy + ARQ regime too:
-// the seam moved the loss RNG and the go-back-N link arena into
-// SimTransport, and identical seeding must survive the move.
-TEST(TransportEquiv, LossyArqTraceSameThroughBothConstructors) {
-  BneckConfig cfg;
-  cfg.reliable_links = true;
-  cfg.loss_probability = 0.2;
-  const std::string implicit_trace = run_trace(cfg, false, drive_unweighted);
-  const std::string explicit_trace = run_trace(cfg, true, drive_unweighted);
-  EXPECT_FALSE(implicit_trace.empty());
-  EXPECT_EQ(implicit_trace, explicit_trace);
+  EXPECT_EQ(run_trace(cfg, drive_shared), kGoldenSharedTrace);
 }
 
 // Pins the go-back-N timing itself: every data transmission (first
@@ -591,9 +554,9 @@ TEST(TransportEquiv, LossyArqTraceSameThroughBothConstructors) {
 // ReliableChannel core.
 TEST(TransportEquiv, LossyArqGoldenTrace) {
   BneckConfig cfg;
-  cfg.reliable_links = true;
-  cfg.loss_probability = 0.2;
-  EXPECT_EQ(run_trace(cfg, false, drive_unweighted), kGoldenLossyArqTrace);
+  cfg.wire.reliable_links = true;
+  cfg.wire.loss_probability = 0.2;
+  EXPECT_EQ(run_trace(cfg, drive_unweighted), kGoldenLossyArqTrace);
 }
 
 }  // namespace

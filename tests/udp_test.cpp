@@ -62,12 +62,11 @@ std::vector<wire::Frame> read_all(UdpSocket& raw) {
 /// every delivered packet frame.
 struct Receiver {
   NullSink sink;
-  UdpTransport transport;
+  UdpTransport transport{sink, ReliableConfig{}};
   std::vector<std::int32_t> delivered;
   std::vector<std::size_t> path_lengths;
 
   Receiver() {
-    transport.bind(sink);
     transport.set_frame_handler([this](const wire::Frame& f, const Endpoint&) {
       if (f.kind == wire::FrameKind::Packet) {
         delivered.push_back(f.packet.session.value());
@@ -129,11 +128,9 @@ TEST(UdpBatch, BatchOfOnlyStaleDataStillYieldsOneAck) {
 // receive batches and several sendmmsg chunks.
 TEST(UdpBatch, EgressStaysFifoPerPeer) {
   NullSink sink;
-  UdpTransport tx;
+  UdpTransport tx(sink, ReliableConfig{});
   UdpSocket raw(0);
-  tx.bind(sink);
   tx.set_peer(raw.local_endpoint());
-  tx.enable_reliability(ReliableConfig{});
   // Each delivered packet is answered by a reliable echo and a
   // Heartbeat naming it.
   tx.set_frame_handler([&tx](const wire::Frame& f, const Endpoint& from) {
