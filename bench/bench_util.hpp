@@ -2,22 +2,24 @@
 //
 // Every binary runs with no arguments at a scaled-down default (so
 // `for b in build/bench/*; do $b; done` finishes in minutes) and accepts
-//   --scale <f>   multiply workload sizes by f (1.0 = paper scale where
-//                 stated, defaults are well below 1)
+//   --scale <f>   multiply workload sizes by f.  Each bench states what
+//                 f means; exp2_dynamics alone defaults to 0.1 rather
+//                 than 1, and an explicit --scale always wins over a
+//                 bench's default.
 //   --seed <n>    RNG seed
 //   --threads <n> worker threads for independent sweep points (0 = all
 //                 cores; also settable via $BNECK_THREADS).  Results are
 //                 byte-identical at any thread count.
-//   --shards <k>  exp2_dynamics only (the other benches refuse it): run
-//                 the simulation on k >= 1 worker shards of the
-//                 conservative parallel engine (default 1, the
-//                 single-thread engine).  A fixed k > 1 is deterministic,
-//                 but same-instant cross-shard ties reorder, so packet
-//                 counts drift from k = 1 by under 1%
+//   --shards <k>  exp2_dynamics only: run the simulation on k >= 1
+//                 worker shards of the conservative parallel engine
+//                 (default 1, the single-thread engine).  A fixed k > 1
+//                 is deterministic, but same-instant cross-shard ties
+//                 reorder, so packet counts drift from k = 1
 //                 (docs/architecture.md).
-//   --full        paper-size sweep points where a bench has them
-// An unknown flag, a missing value or a malformed or negative number is
-// rejected with a one-line message and exit status 2.
+//   --full        exp1_quiescence only: add the paper-size sweep points
+//                 (elsewhere the paper size is a --scale value).
+// A flag a bench does not take, a missing value or a malformed or
+// negative number is rejected with a one-line message and exit status 2.
 #pragma once
 
 #include <cerrno>
@@ -27,13 +29,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <string>
 
 namespace bneck::benchutil {
-
-inline constexpr const char* kUsage =
-    "[--scale <f>] [--seed <n>] [--threads <n>] [--full]";
-inline constexpr const char* kShardsUsage =
-    "[--scale <f>] [--seed <n>] [--threads <n>] [--shards <k>] [--full]";
 
 /// Prints "<prog>: <what> <token>[ for <flag>] (usage: ...)" and exits 2.
 [[noreturn]] inline void usage_error(const char* prog, const char* usage,
@@ -56,21 +54,31 @@ inline bool parse_count(const char* text, std::uint64_t max,
   return errno != ERANGE && *end == '\0' && out <= max;
 }
 
+/// What one bench takes beyond --scale/--seed/--threads (any other flag
+/// is refused as unknown), and its scale when --scale is absent.
+struct Accepts {
+  bool shards = false;
+  bool full = false;
+  double default_scale = 1.0;
+};
+
 struct Args {
   double scale = 1.0;
   std::uint64_t seed = 1;
-  bool full = false;
+  bool full = false;        // exp1_quiescence's paper-size sweep points
   std::size_t threads = 0;  // 0 = workload::default_parallelism()
   std::int32_t shards = 1;  // 1 = single-thread engine
 
-  /// `shards`: whether this bench honours --shards (else it is refused
-  /// as an unknown flag).
-  static Args parse(int argc, char** argv, bool shards = false) {
-    const char* usage = shards ? kShardsUsage : kUsage;
+  static Args parse(int argc, char** argv, Accepts accepts = {}) {
+    std::string usage_text = "[--scale <f>] [--seed <n>] [--threads <n>]";
+    if (accepts.shards) usage_text += " [--shards <k>]";
+    if (accepts.full) usage_text += " [--full]";
+    const char* usage = usage_text.c_str();
     Args a;
+    a.scale = accepts.default_scale;
     for (int i = 1; i < argc; ++i) {
       const char* flag = argv[i];
-      if (std::strcmp(flag, "--full") == 0) {
+      if (accepts.full && std::strcmp(flag, "--full") == 0) {
         a.full = true;
         continue;
       }
@@ -81,7 +89,7 @@ struct Args {
       const bool known = std::strcmp(flag, "--scale") == 0 ||
                          std::strcmp(flag, "--seed") == 0 ||
                          std::strcmp(flag, "--threads") == 0 ||
-                         (shards && std::strcmp(flag, "--shards") == 0);
+                         (accepts.shards && std::strcmp(flag, "--shards") == 0);
       if (!known) usage_error(argv[0], usage, "unknown flag", flag);
       if (i + 1 == argc) usage_error(argv[0], usage, "missing value for", flag);
       const char* value = argv[++i];

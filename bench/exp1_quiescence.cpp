@@ -72,7 +72,7 @@ RunResult run(const std::string& preset, topo::DelayModel delay,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto args = benchutil::Args::parse(argc, argv);
+  const auto args = benchutil::Args::parse(argc, argv, {.full = true});
   benchutil::banner("Figure 5", "time until quiescence and packets sent vs #sessions");
 
   struct Sweep {

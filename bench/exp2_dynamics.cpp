@@ -5,7 +5,8 @@
 // leave; 20k change rates; 20k join; 20k join + 20k leave + 20k change —
 // each within the first 1 ms of its phase, with B-Neck requiescing in
 // between (55/35/40/60/55 ms in the paper).  Default here is 1/10 of the
-// paper's population (10k/2k join phases); --scale adjusts.
+// paper's population (10k/2k join phases, --scale 0.1); --scale 1 is
+// the paper's.
 //
 // --shards <k> runs the workload on k worker shards of the conservative
 // parallel engine (core::ShardedBneck; default 1, the single-thread
@@ -83,11 +84,12 @@ void run_phases_and_report(workload::DynamicsRunner& runner,
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto args = benchutil::Args::parse(argc, argv, /*shards=*/true);
-  if (!args.full && args.scale == 1.0) args.scale = 0.1;  // default: 1/10 paper
+  // Default: 1/10 of the paper's population; --scale 1 is paper size.
+  const auto args = benchutil::Args::parse(
+      argc, argv, {.shards = true, .default_scale = 0.1});
   benchutil::banner("Figure 6", "per-type packet traffic across five churn phases");
 
-  const std::int32_t base = args.full ? 100000 : args.scaled(100000, 50);
+  const std::int32_t base = args.scaled(100000, 50);
   const std::int32_t churn = base / 5;
 
   auto params = topo::medium_params();

@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
   const auto args = benchutil::Args::parse(argc, argv);
   benchutil::banner("Figure 8", "packets transmitted per 3ms interval");
 
-  const std::int32_t sessions = args.full ? 100000 : args.scaled(2000, 100);
+  const std::int32_t sessions = args.scaled(2000, 100);
   const auto setup = benchutil::make_exp3_setup(sessions, args.seed);
   const TimeNs horizon = milliseconds(120);
   const TimeNs bin = milliseconds(3);

@@ -1,14 +1,8 @@
 // Stable-pointer slab arena for lazily constructed task objects.
 //
-// BneckProtocol owns one RouterLink per directed link that carries
-// sessions, and SimTransport one SimArqLink per lossy physical link —
-// historically a std::vector<std::unique_ptr<T>> indexed by link id:
-// one heap allocation per task, scattered addresses, and every
-// full-network walk (stability checks, retransmission counts) touching
-// a pointer per directed link whether or not the link ever carried
-// traffic.
-//
-// Slab packs the objects into fixed-size chunks allocated once and
+// core::RouterPlane keeps one RouterLink per directed link that carries
+// sessions in a Slab, and SimTransport one SimArqLink per lossy physical
+// link.  Slab packs the objects into fixed-size chunks allocated once and
 // never moved, so
 //   * emplace_back() never invalidates references (RouterLink and
 //     SimArqLink are non-movable by design — they hand `this` to the

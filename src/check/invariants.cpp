@@ -206,9 +206,9 @@ void InvariantChecker::audit_tables(TimeNs t, bool quiescent) {
   BNECK_EXPECT(bneck_ != nullptr, "checker not attached");
   // The dense active-link index skips the (typically large) majority of
   // directed links that never instantiated a RouterLink.
-  for (const LinkId e : bneck_->active_links()) {
-    const core::RouterLink* rl = bneck_->router_link(e);
-    BNECK_EXPECT(rl != nullptr, "active link without a RouterLink task");
+  const core::RouterPlane& plane = bneck_->plane();
+  for (const LinkId e : plane.active_links()) {
+    const core::RouterLink* rl = plane.find(e);
     if (const std::string err = rl->table().audit(); !err.empty()) {
       fail(t, message("link ", e, " table inconsistent with naive model: ",
                       err));
@@ -347,7 +347,7 @@ void InvariantChecker::on_quiescent(TimeNs quiesced_at) {
   for (std::size_t i = 0; i < specs.size(); ++i) {
     const auto& links = specs[i].path.links;
     for (std::size_t h = first_router_hop; h < links.size(); ++h) {
-      const core::RouterLink* rl = bneck_->router_link(links[h]);
+      const core::RouterLink* rl = bneck_->plane().find(links[h]);
       if (rl == nullptr || !rl->table().contains(specs[i].id)) {
         fail(quiesced_at, message("session ", specs[i].id,
                                   " missing from link ", links[h], " (hop ",

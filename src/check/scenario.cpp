@@ -1,6 +1,7 @@
 #include "check/scenario.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <sstream>
@@ -438,17 +439,18 @@ Rate rate_from(const std::string& s) {
   }
 }
 
-std::int64_t int_from(const std::string& s) {
-  try {
-    std::size_t used = 0;
-    const std::int64_t v = std::stoll(s, &used);
-    BNECK_EXPECT(used == s.size(), "malformed integer in scenario spec");
-    return v;
-  } catch (const InvariantError&) {
-    throw;
-  } catch (const std::exception&) {  // stoll: invalid_argument/out_of_range
-    fail_invariant("parseable integer", s.c_str(), __FILE__, __LINE__);
+/// A decimal integer of type T, read in full and in range: a field
+/// outside T is refused, not truncated, and unsigned T takes no sign.
+template <class T = std::int64_t>
+T int_from(const std::string& s) {
+  T v{};
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+  if (ec != std::errc{} || ptr != end) {
+    fail_invariant("parseable integer in range", s.c_str(), __FILE__,
+                   __LINE__);
   }
+  return v;
 }
 
 std::vector<std::string> split(const std::string& s, char sep) {
@@ -516,15 +518,15 @@ Scenario parse_spec(const std::string& spec) {
     if (key == "topo") {
       sc.topo.kind = topo_kind_from_name(value);
     } else if (key == "a") {
-      sc.topo.a = static_cast<std::int32_t>(int_from(value));
+      sc.topo.a = int_from<std::int32_t>(value);
     } else if (key == "b") {
-      sc.topo.b = static_cast<std::int32_t>(int_from(value));
+      sc.topo.b = int_from<std::int32_t>(value);
     } else if (key == "hpr") {
-      sc.topo.hpr = static_cast<std::int32_t>(int_from(value));
+      sc.topo.hpr = int_from<std::int32_t>(value);
     } else if (key == "hosts") {
-      sc.topo.hosts = static_cast<std::int32_t>(int_from(value));
+      sc.topo.hosts = int_from<std::int32_t>(value);
     } else if (key == "tseed") {
-      sc.topo.seed = static_cast<std::uint64_t>(int_from(value));
+      sc.topo.seed = int_from<std::uint64_t>(value);
     } else if (key == "rcap") {
       sc.topo.router_capacity = rate_from(value);
     } else if (key == "acap") {
@@ -534,7 +536,7 @@ Scenario parse_spec(const std::string& spec) {
     } else if (key == "loss") {
       sc.loss_probability = rate_from(value);
     } else if (key == "seed") {
-      sc.seed = static_cast<std::uint64_t>(int_from(value));
+      sc.seed = int_from<std::uint64_t>(value);
     } else if (key == "shared") {
       sc.shared_access = int_from(value) != 0;
     } else if (key == "ev") {
@@ -549,7 +551,7 @@ Scenario parse_spec(const std::string& spec) {
           BNECK_EXPECT(fields.size() > i && fields[i].size() > 1 &&
                            fields[i][0] == 's',
                        "malformed session field in scenario spec");
-          return static_cast<std::int32_t>(int_from(fields[i].substr(1)));
+          return int_from<std::int32_t>(fields[i].substr(1));
         };
         const auto demand_field = [&fields](std::size_t i) {
           BNECK_EXPECT(fields.size() > i && fields[i].size() > 1 &&
@@ -576,8 +578,8 @@ Scenario parse_spec(const std::string& spec) {
                              hosts[0][0] == 'h' && hosts[1].size() > 1 &&
                              hosts[1][0] == 'h',
                          "malformed host pair in scenario spec");
-            ev.src_host = static_cast<std::int32_t>(int_from(hosts[0].substr(1)));
-            ev.dst_host = static_cast<std::int32_t>(int_from(hosts[1].substr(1)));
+            ev.src_host = int_from<std::int32_t>(hosts[0].substr(1));
+            ev.dst_host = int_from<std::int32_t>(hosts[1].substr(1));
             ev.demand = demand_field(3);
             ev.weight = weight_field(4);
             break;

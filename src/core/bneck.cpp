@@ -13,7 +13,7 @@ BneckProtocol::BneckProtocol(sim::Simulator& simulator,
       cfg_(config),
       trace_(trace),
       transport_(simulator, network, *this, config.wire, std::move(route)),
-      link_slot_(static_cast<std::size_t>(network.link_count()), -1),
+      plane_(network, *this, config.fault_single_kick),
       sources_in_use_(static_cast<std::size_t>(network.node_count()), 0) {}
 
 std::int32_t BneckProtocol::register_session(SessionId s) {
@@ -38,23 +38,6 @@ BneckProtocol::SessionRt& BneckProtocol::runtime(SessionId s) {
   return sessions_[static_cast<std::size_t>(slot)];
 }
 
-RouterLink& BneckProtocol::router_link_at(LinkId e) {
-  std::int32_t& slot = link_slot_[static_cast<std::size_t>(e.value())];
-  if (slot < 0) {
-    slot = static_cast<std::int32_t>(link_arena_.size());
-    link_arena_.emplace_back(e, net_.link(e).capacity, *this,
-                             cfg_.fault_single_kick);
-    active_links_.push_back(e);
-  }
-  return link_arena_[static_cast<std::size_t>(slot)];
-}
-
-const RouterLink* BneckProtocol::router_link(LinkId e) const {
-  BNECK_EXPECT(e.valid() && e.value() < net_.link_count(), "bad link id");
-  const std::int32_t slot = link_slot_[static_cast<std::size_t>(e.value())];
-  return slot < 0 ? nullptr : &link_arena_[static_cast<std::size_t>(slot)];
-}
-
 const net::Path* BneckProtocol::session_path(SessionId s) const {
   const std::int32_t slot = slot_of(s);
   if (slot < 0) return nullptr;
@@ -74,12 +57,10 @@ void BneckProtocol::join(SessionId s, net::Path path, Rate demand,
                "session ids are single-use (no re-join)");
   BNECK_EXPECT(weight > 0 && std::isfinite(weight),
                "session weight must be positive and finite");
-  BNECK_EXPECT(path.links.size() >= 2, "path needs access links at both ends");
-  const net::Link& first = net_.link(path.links.front());
-  const net::Link& last = net_.link(path.links.back());
-  BNECK_EXPECT(net_.is_host(first.src), "path must start at a host");
-  BNECK_EXPECT(net_.is_host(last.dst), "path must end at a host");
-  auto& in_use = sources_in_use_[static_cast<std::size_t>(first.src.value())];
+  const char* path_error = net_.path_error(path.links);
+  BNECK_EXPECT(path_error == nullptr, path_error);
+  const NodeId src = net_.link(path.links.front()).src;
+  auto& in_use = sources_in_use_[static_cast<std::size_t>(src.value())];
   BNECK_EXPECT(cfg_.shared_access_links || in_use == 0,
                "one session per source host (set shared_access_links to "
                "lift the paper's simplification)");
@@ -178,9 +159,7 @@ std::vector<SessionSpec> BneckProtocol::active_specs() const {
 }
 
 bool BneckProtocol::all_tasks_stable() const {
-  for (std::size_t i = 0; i < link_arena_.size(); ++i) {
-    if (!link_arena_[i].stable()) return false;
-  }
+  if (!plane_.stable()) return false;
   for (const SessionRt& rt : sessions_) {
     if (rt.source && !rt.source->stable()) return false;
   }
@@ -275,11 +254,7 @@ void BneckProtocol::snapshot_into(Snapshot& snap) const {
     if (st.active) st.source = rt.source->state();
     snap.sessions.push_back(st);
   }
-  // resize() keeps the surviving tables' row storage for reuse.
-  snap.tables.resize(active_links_.size());
-  for (std::size_t i = 0; i < active_links_.size(); ++i) {
-    router_link(active_links_[i])->table().snapshot_into(snap.tables[i]);
-  }
+  plane_.snapshot_into(snap.tables);
   snap.sources_in_use = sources_in_use_;
   snap.active_count = active_count_;
   snap.packets_sent = packets_sent_;
@@ -292,8 +267,7 @@ void BneckProtocol::snapshot_into(Snapshot& snap) const {
 void BneckProtocol::restore(const Snapshot& snap) {
   BNECK_EXPECT(transport_.lossless(),
                "protocol snapshots require the loss-free wire");
-  BNECK_EXPECT(snap.sessions.size() <= sessions_.size() &&
-                   snap.tables.size() <= active_links_.size(),
+  BNECK_EXPECT(snap.sessions.size() <= sessions_.size(),
                "restore into a protocol that is not a descendant of the "
                "snapshot");
   // Sessions registered after the capture: unregister their ids and pop
@@ -325,15 +299,7 @@ void BneckProtocol::restore(const Snapshot& snap) {
       rt.source.reset();
     }
   }
-  // RouterLink tasks are arena-allocated and never destroyed; a link
-  // instantiated after the capture is reset to an *empty* table, which
-  // is behaviorally identical to the task never having existed (every
-  // handler begins by resolving the packet's session in the table).
-  static const LinkSessionTable::Snapshot kEmptyTable{};
-  for (std::size_t i = 0; i < active_links_.size(); ++i) {
-    RouterLink& link = router_link_at(active_links_[i]);
-    link.restore_table(i < snap.tables.size() ? snap.tables[i] : kEmptyTable);
-  }
+  plane_.restore(snap.tables);
   sources_in_use_ = snap.sources_in_use;
   active_count_ = snap.active_count;
   packets_sent_ = snap.packets_sent;
@@ -348,74 +314,26 @@ void BneckProtocol::restore(const Snapshot& snap) {
 void BneckProtocol::deliver(const Packet& p) {
   // Resolve the session once; the (id, slot) pair is published for
   // runtime_for_send so the sends this delivery triggers skip the
-  // lookup, and the task handlers below receive the already-resolved
-  // hop.  Each RouterLink handler in turn resolves its table record
+  // lookup.  Each RouterLink handler in turn resolves its table record
   // once into a SessionHandle (router_link.hpp).
   const std::int32_t slot = slot_of(p.session);
   BNECK_EXPECT(slot >= 0, "unknown session");
   delivering_id_ = p.session;
   delivering_slot_ = slot;
   const SessionRt& rt = sessions_[static_cast<std::size_t>(slot)];
-  const auto path_len = static_cast<std::int32_t>(rt.path.links.size());
 
   // The source task sits at hop -1 in shared-access mode (every path
   // link has a RouterLink) and at hop 0 in dedicated mode (it manages
-  // the access link itself, Figure 3).
+  // the access link itself, Figure 3); every other hop is the plane's.
   const std::int32_t source_hop = cfg_.shared_access_links ? -1 : 0;
   if (p.hop == source_hop) {
-    // Source node.  Packets for departed sessions are dropped.
-    SourceNode* src = rt.source.get();
-    if (src == nullptr) return;
-    switch (p.type) {
-      case PacketType::Response: src->on_response(p); return;
-      case PacketType::Update: src->on_update(p); return;
-      case PacketType::Bottleneck: src->on_bottleneck(p); return;
-      default: BNECK_EXPECT(false, "downstream packet at source");
-    }
+    // Packets for departed sessions are dropped.
+    if (rt.source == nullptr) return;
+    const bool handled = rt.source->on_packet(p);
+    BNECK_EXPECT(handled, "downstream packet at source");
+    return;
   }
-
-  if (p.hop == path_len) {
-    // Destination node (paper Figure 4): stateless echo.
-    switch (p.type) {
-      case PacketType::Join:
-      case PacketType::Probe: {
-        Packet r;
-        r.type = PacketType::Response;
-        r.session = p.session;
-        r.tag = ResponseTag::Response;
-        r.lambda = p.lambda;
-        r.eta = p.eta;
-        send_upstream(r, path_len);
-        return;
-      }
-      case PacketType::SetBottleneck:
-        if (!p.beta) {
-          // No link certified a bottleneck: the network changed while the
-          // certification travelled; trigger a fresh probe cycle.
-          Packet u;
-          u.type = PacketType::Update;
-          u.session = p.session;
-          send_upstream(u, path_len);
-        }
-        return;
-      case PacketType::Leave:
-        return;  // path fully cleaned up
-      default:
-        BNECK_EXPECT(false, "upstream packet at destination");
-    }
-  }
-
-  RouterLink& link =
-      router_link_at(rt.path.links[static_cast<std::size_t>(p.hop)]);
-  switch (p.type) {
-    case PacketType::Join: link.on_join(p, p.hop); return;
-    case PacketType::Probe: link.on_probe(p, p.hop); return;
-    case PacketType::Response: link.on_response(p, p.hop); return;
-    case PacketType::Update: link.on_update(p, p.hop); return;
-    case PacketType::Bottleneck: link.on_bottleneck(p, p.hop); return;
-    case PacketType::SetBottleneck: link.on_set_bottleneck(p, p.hop); return;
-    case PacketType::Leave: link.on_leave(p, p.hop); return;
-  }
+  plane_.deliver(p, rt.path.links);
 }
 
 }  // namespace bneck::core

@@ -1,11 +1,10 @@
 // BneckProtocol: the distributed B-Neck algorithm bound to the simulator.
 //
-// This is the library's main entry point.  It owns one RouterLink task
-// per directed link that carries sessions, one SourceNode per active
-// session, the (stateless) DestinationNode behaviour, and the hop
-// routing: a task's emit resolves to a physical directed link, crosses
-// the simulated wire the binding owns (transport::SimTransport), and is
-// dispatched to the task at the next hop.
+// This is the library's main entry point.  It owns one SourceNode per
+// active session, the router plane (core::RouterPlane: the RouterLinks
+// and the stateless destination echo) and the hop routing: a task's emit
+// resolves to a physical directed link, crosses the simulated wire the
+// binding owns (transport::SimTransport), and reaches the next hop's task.
 //
 // Typical use:
 //
@@ -38,10 +37,9 @@
 #include <vector>
 
 #include "base/flat_hash.hpp"
-#include "base/slab.hpp"
 
 #include "core/packet.hpp"
-#include "core/router_link.hpp"
+#include "core/router_plane.hpp"
 #include "core/session.hpp"
 #include "core/source_node.hpp"
 #include "core/trace.hpp"
@@ -91,8 +89,8 @@ class BneckProtocol final : public Transport,
 
   // ---- API primitives (paper §II; weight is the weighted extension) ----
 
-  /// API.Join(s, r [, w]): s must be new; the path must start at a host
-  /// uplink; the weight must be positive and finite.
+  /// API.Join(s, r [, w]): s must be new; the path must pass
+  /// net::Network::path_error; the weight must be positive and finite.
   void join(SessionId s, net::Path path, Rate demand = kRateInfinity,
             double weight = 1.0);
   /// API.Leave(s): s must be active.
@@ -131,23 +129,14 @@ class BneckProtocol final : public Transport,
   /// weights reflect the latest join/change values.
   [[nodiscard]] std::vector<SessionSpec> active_specs() const;
 
-  /// The RouterLink task of a directed link; nullptr if the link never
-  /// carried a session.
-  [[nodiscard]] const RouterLink* router_link(LinkId e) const;
+  /// The RouterLink tasks, for per-link audits and walks.
+  [[nodiscard]] const RouterPlane& plane() const { return plane_; }
 
   /// The routed path of a session id — active or departed (tombstones
   /// keep their path so in-flight packets still route); nullptr for ids
   /// never joined.  The model checker (src/mc/) uses this to map a
   /// pending delivery to the node whose task will process it.
   [[nodiscard]] const net::Path* session_path(SessionId s) const;
-
-  /// Directed links that have an instantiated RouterLink task, in
-  /// construction order (deterministic).  Full-network walks — the
-  /// property harness's per-link table audits in particular — iterate
-  /// this dense index instead of probing every directed link id.
-  [[nodiscard]] const std::vector<LinkId>& active_links() const {
-    return active_links_;
-  }
 
   /// Paper Definition 2, state part: every router link and source is
   /// stable.  Combined with the simulator being idle this is full
@@ -197,8 +186,8 @@ class BneckProtocol final : public Transport,
   /// table, the transport's per-link FIFO clocks and the global
   /// counters.  Only supported on a loss-free wire (ARQ state is not
   /// captured).  Identity that cannot roll backwards — a session's path,
-  /// the arena of RouterLink tasks, active_links() — is NOT part of the
-  /// snapshot: sessions/links that appear after the capture are
+  /// the RouterLink tasks and plane().active_links() — is NOT part of
+  /// the snapshot: sessions/links that appear after the capture are
   /// truncated/emptied on restore instead (an empty table is
   /// behaviorally identical to a never-instantiated link).
   struct Snapshot {
@@ -211,7 +200,7 @@ class BneckProtocol final : public Transport,
       SourceNode::State source{};           // valid when active
     };
     std::vector<SessionState> sessions;     // slot order
-    std::vector<LinkSessionTable::Snapshot> tables;  // active_links_ order
+    std::vector<LinkSessionTable::Snapshot> tables;  // plane() link order
     std::vector<std::int32_t> sources_in_use;
     std::size_t active_count = 0;
     std::uint64_t packets_sent = 0;
@@ -268,7 +257,6 @@ class BneckProtocol final : public Transport,
   /// the send is for the packet being delivered — the common case for
   /// every forwarding hop, so the per-hop send costs no id lookup.
   SessionRt& runtime_for_send(SessionId s);
-  RouterLink& router_link_at(LinkId e);
   void transmit(Packet p, LinkId physical, std::int32_t to_hop);
   void deliver(const Packet& p);
   void on_rate(SessionId s, Rate r);
@@ -279,17 +267,7 @@ class BneckProtocol final : public Transport,
   RateCallback rate_cb_;
 
   transport::SimTransport transport_;  // the wire; reports back to *this
-
-  // Task storage: RouterLink objects live in a stable-address slab
-  // arena (base/slab.hpp), constructed lazily in first-use order.  A
-  // per-directed-link slot vector maps link id -> arena slot (-1 =
-  // never instantiated); in-process walks (stability checks) iterate
-  // the dense arena directly, and active_links_ gives external
-  // observers (active_links()) the same dense view with the link ids
-  // attached.
-  Slab<RouterLink> link_arena_;
-  std::vector<std::int32_t> link_slot_;     // per directed link, -1 = none
-  std::vector<LinkId> active_links_;        // construction order
+  RouterPlane plane_;                  // RouterLinks + destination echo
 
   // Dense session table: session runtime state lives in a slot-indexed
   // vector; ids resolve to slots through a flat vector, so the two

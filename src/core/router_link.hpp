@@ -24,10 +24,10 @@
 // refreshing it from Probe, and the table's Be denominator.
 //
 // The task is transport-agnostic: it emits packets through the Transport
-// interface, which the protocol binding (bneck.hpp) implements on top of
-// the discrete-event simulator.  Tasks are arena-allocated by the
-// protocol (base/slab.hpp) and must stay address-stable: RouterLink is
-// deliberately non-copyable and non-movable.
+// interface each binding implements (bneck.hpp, transport/daemon.hpp).
+// Tasks live in the router plane's slab arena (router_plane.hpp) and
+// must stay address-stable: RouterLink is deliberately non-copyable and
+// non-movable.
 #pragma once
 
 #include <vector>

@@ -61,6 +61,16 @@ class SourceNode {
   void on_bottleneck(const Packet& p);
   void on_response(const Packet& p);
 
+  /// Runs the handler of an upstream packet; false for any other type.
+  bool on_packet(const Packet& p) {
+    switch (p.type) {
+      case PacketType::Response: on_response(p); return true;
+      case PacketType::Update: on_update(p); return true;
+      case PacketType::Bottleneck: on_bottleneck(p); return true;
+      default: return false;
+    }
+  }
+
   [[nodiscard]] SessionId session() const { return s_; }
   /// The modified-system restriction Ds — a level: min(requested, Ce)/w.
   [[nodiscard]] Rate ds() const { return ds_; }

@@ -293,7 +293,7 @@ std::uint64_t World::fingerprint() const {
   // RouterLink tables, keyed and sorted by link id: active_links() is
   // first-use order, which varies across interleavings.  A table with
   // no rows and zero aggregates hashes like a never-instantiated link.
-  const std::vector<LinkId>& links = bneck_.active_links();
+  const std::vector<LinkId>& links = bneck_.plane().active_links();
   BNECK_EXPECT(links.size() == snap.tables.size(),
                "table snapshot out of sync with active links");
   std::vector<std::size_t>& order = fp_order_;

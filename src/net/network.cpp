@@ -78,4 +78,24 @@ void Network::validate() const {
   }
 }
 
+const char* Network::path_error(std::span<const LinkId> path) const {
+  if (path.size() < 2) return "join path too short";
+  for (std::size_t i = 0; i < path.size(); ++i) {
+    if (!path[i].valid() || path[i].value() >= link_count()) {
+      return "join path references unknown link";
+    }
+    const Link& l = link(path[i]);
+    if (i > 0 && link(path[i - 1]).dst != l.src) {
+      return "join path is not contiguous";
+    }
+    if (i > 0 && i + 1 < path.size() && (is_host(l.src) || is_host(l.dst))) {
+      return "join path crosses a host mid-way";
+    }
+  }
+  if (!is_host(link(path.front()).src) || !is_host(link(path.back()).dst)) {
+    return "join path must run host to host";
+  }
+  return nullptr;
+}
+
 }  // namespace bneck::net

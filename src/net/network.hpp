@@ -91,6 +91,11 @@ class Network {
   /// exactly one neighbor, no self-loops.  Throws InvariantError.
   void validate() const;
 
+  /// Session-path admission for every binding: a static message saying
+  /// why `path` cannot carry a session (too short, unknown link, a gap,
+  /// not host to host, or a host mid-way), nullptr when it can.
+  [[nodiscard]] const char* path_error(std::span<const LinkId> path) const;
+
  private:
   std::size_t checked_index(NodeId n) const {
     BNECK_EXPECT(n.valid() && n.value() < node_count(), "bad node id");

@@ -65,7 +65,6 @@ net::Network make_tree(std::int32_t depth, const CanonicalOptions& opt) {
   BNECK_EXPECT(depth >= 0, "negative tree depth");
   net::Network net;
   std::vector<NodeId> level{net.add_router()};
-  std::vector<NodeId> leaves;
   for (std::int32_t d = 0; d < depth; ++d) {
     std::vector<NodeId> next;
     for (const NodeId parent : level) {
@@ -77,8 +76,7 @@ net::Network make_tree(std::int32_t depth, const CanonicalOptions& opt) {
     }
     level = std::move(next);
   }
-  leaves = level;
-  attach_hosts(net, leaves, opt.hosts_per_router, opt);
+  attach_hosts(net, level, opt.hosts_per_router, opt);
   return net;
 }
 

@@ -5,7 +5,6 @@
 namespace bneck::transport {
 
 using core::Packet;
-using core::PacketType;
 using core::SourceNode;
 
 SourceClient::SourceClient(const net::Network& net, Endpoint daemon,
@@ -44,10 +43,9 @@ void SourceClient::join(SessionId s, net::Path path, Rate demand,
   BNECK_EXPECT(s.valid(), "invalid session id");
   BNECK_EXPECT(!sessions_.contains(s),
                "session ids are single-use (no re-join)");
-  BNECK_EXPECT(path.links.size() >= 2,
-               "path needs access links at both ends");
+  const char* path_error = net_.path_error(path.links);
+  BNECK_EXPECT(path_error == nullptr, path_error);
   const net::Link& first = net_.link(path.links.front());
-  BNECK_EXPECT(net_.is_host(first.src), "path must start at a host");
   const auto access = static_cast<std::size_t>(path.links.front().value());
   BNECK_EXPECT(!access_live_[access],
                "dedicated access: one live session per source host");
@@ -183,14 +181,7 @@ void SourceClient::on_packet(const Packet& p) {
     return;
   }
   SourceNode& src = sources_[static_cast<std::size_t>(it->second.slot)];
-  switch (p.type) {
-    case PacketType::Response: src.on_response(p); return;
-    case PacketType::Update: src.on_update(p); return;
-    case PacketType::Bottleneck: src.on_bottleneck(p); return;
-    default:
-      ++stray_packets_;  // downstream type at the source: drop
-      return;
-  }
+  if (!src.on_packet(p)) ++stray_packets_;  // downstream type: drop
 }
 
 }  // namespace bneck::transport

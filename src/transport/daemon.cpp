@@ -8,15 +8,13 @@ namespace bneck::transport {
 
 using core::Packet;
 using core::PacketType;
-using core::ResponseTag;
-using core::RouterLink;
 using wire::RejectReason;
 
 Daemon::Daemon(const net::Network& net, const DaemonOptions& opts)
     : net_(net),
       opts_(opts),
       transport_(*this, opts.reliability, opts.port),
-      link_slot_(static_cast<std::size_t>(net.link_count()), -1) {
+      plane_(net, *this) {
   if (opts_.faults && opts_.faults->any()) {
     fault_.emplace(*opts_.faults);
     transport_.set_fault_injector(&*fault_);
@@ -43,13 +41,6 @@ bool Daemon::step(int timeout_ms) {
   if (opts_.session_expiry > 0) sweep_liveness(t);
   if (opts_.summary_period > 0) maybe_summary(t);
   return running_;
-}
-
-bool Daemon::stable() const {
-  for (std::size_t i = 0; i < link_arena_.size(); ++i) {
-    if (!link_arena_[i].stable()) return false;
-  }
-  return true;
 }
 
 wire::StatusReply Daemon::status_reply() const {
@@ -98,12 +89,7 @@ void Daemon::sweep_liveness(TimeNs t) {
       leave.type = PacketType::Leave;
       leave.session = sid;
       leave.hop = 1;
-      try {
-        deliver(leave);
-      } catch (const InvariantError& e) {
-        ++stats_.invariant_trips;
-        count_reject({RejectReason::InvariantTrip, e.what()});
-      }
+      on_packet(leave);
     }
   }
 }
@@ -131,40 +117,6 @@ void Daemon::maybe_summary(TimeNs t) {
                rejects.empty() ? " rejects=none" : rejects.c_str());
 }
 
-RouterLink& Daemon::router_link_at(LinkId e) {
-  std::int32_t& slot = link_slot_[static_cast<std::size_t>(e.value())];
-  if (slot < 0) {
-    slot = static_cast<std::int32_t>(link_arena_.size());
-    link_arena_.emplace_back(e, net_.link(e).capacity, *this);
-  }
-  return link_arena_[static_cast<std::size_t>(slot)];
-}
-
-const char* Daemon::validate_join_path(const std::vector<LinkId>& path) const {
-  if (path.size() < 2) return "join path too short";
-  for (const LinkId e : path) {
-    if (!e.valid() || e.value() >= net_.link_count()) {
-      return "join path references unknown link";
-    }
-  }
-  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    if (net_.link(path[i]).dst != net_.link(path[i + 1]).src) {
-      return "join path is not contiguous";
-    }
-  }
-  if (!net_.is_host(net_.link(path.front()).src) ||
-      !net_.is_host(net_.link(path.back()).dst)) {
-    return "join path must run host to host";
-  }
-  for (std::size_t i = 1; i + 1 < path.size(); ++i) {
-    const net::Link& l = net_.link(path[i]);
-    if (net_.is_host(l.src) || net_.is_host(l.dst)) {
-      return "join path crosses a host mid-way";
-    }
-  }
-  return nullptr;
-}
-
 std::optional<Daemon::Reject> Daemon::ingress(const wire::Frame& f,
                                               const Endpoint& from) {
   const Packet& p = f.packet;
@@ -179,7 +131,7 @@ std::optional<Daemon::Reject> Daemon::ingress(const wire::Frame& f,
     if (p.hop != 1) {
       return Reject{RejectReason::BadJoinHop, "join must enter at hop 1"};
     }
-    if (const char* err = validate_join_path(f.path)) {
+    if (const char* err = net_.path_error(f.path)) {
       return Reject{RejectReason::BadJoinPath, err};
     }
     if (sessions_.contains(p.session)) {
@@ -269,59 +221,21 @@ void Daemon::on_packet(const Packet& p) {
   }
 }
 
-void Daemon::deliver(const Packet& p) {
-  const auto it = sessions_.find(p.session);
+const net::Path& Daemon::path_of(SessionId s) const {
+  const auto it = sessions_.find(s);
   BNECK_EXPECT(it != sessions_.end(), "unknown session");
-  const net::Path& path = it->second.path;
+  return it->second.path;
+}
+
+void Daemon::deliver(const Packet& p) {
+  const net::Path& path = path_of(p.session);
   const auto len = static_cast<std::int32_t>(path.links.size());
   BNECK_EXPECT(p.hop >= 1 && p.hop <= len, "hop outside session path");
-
-  if (p.hop == len) {
-    // Destination node (paper Figure 4): stateless echo, same as the
-    // simulator binding (core/bneck.cpp).
-    switch (p.type) {
-      case PacketType::Join:
-      case PacketType::Probe: {
-        Packet r;
-        r.type = PacketType::Response;
-        r.session = p.session;
-        r.tag = ResponseTag::Response;
-        r.lambda = p.lambda;
-        r.eta = p.eta;
-        send_upstream(r, len);
-        return;
-      }
-      case PacketType::SetBottleneck:
-        if (!p.beta) {
-          Packet u;
-          u.type = PacketType::Update;
-          u.session = p.session;
-          send_upstream(u, len);
-        }
-        return;
-      case PacketType::Leave:
-        return;  // path fully cleaned up
-      default:
-        BNECK_EXPECT(false, "upstream packet at destination");
-    }
-  }
-
-  RouterLink& link = router_link_at(path.links[static_cast<std::size_t>(p.hop)]);
-  switch (p.type) {
-    case PacketType::Join: link.on_join(p, p.hop); return;
-    case PacketType::Probe: link.on_probe(p, p.hop); return;
-    case PacketType::Response: link.on_response(p, p.hop); return;
-    case PacketType::Update: link.on_update(p, p.hop); return;
-    case PacketType::Bottleneck: link.on_bottleneck(p, p.hop); return;
-    case PacketType::SetBottleneck: link.on_set_bottleneck(p, p.hop); return;
-    case PacketType::Leave: link.on_leave(p, p.hop); return;
-  }
+  plane_.deliver(p, path.links);
 }
 
 void Daemon::send_downstream(Packet p, std::int32_t from_hop) {
-  const auto it = sessions_.find(p.session);
-  BNECK_EXPECT(it != sessions_.end(), "unknown session");
-  const auto len = static_cast<std::int32_t>(it->second.path.links.size());
+  const auto len = static_cast<std::int32_t>(path_of(p.session).links.size());
   BNECK_EXPECT(core::is_downstream(p.type), "upstream packet sent downstream");
   BNECK_EXPECT(from_hop >= 1 && from_hop < len, "bad downstream hop");
   p.hop = from_hop + 1;
@@ -329,9 +243,7 @@ void Daemon::send_downstream(Packet p, std::int32_t from_hop) {
 }
 
 void Daemon::send_upstream(Packet p, std::int32_t from_hop) {
-  const auto it = sessions_.find(p.session);
-  BNECK_EXPECT(it != sessions_.end(), "unknown session");
-  const net::Path& path = it->second.path;
+  const net::Path& path = path_of(p.session);
   const auto len = static_cast<std::int32_t>(path.links.size());
   BNECK_EXPECT(!core::is_downstream(p.type), "downstream packet sent upstream");
   BNECK_EXPECT(from_hop >= 1 && from_hop <= len, "bad upstream hop");

@@ -1,13 +1,12 @@
 // bneckd: the B-Neck router plane as a real process.
 //
-// A Daemon hosts every RouterLink task of one network (hops 1..len-1 of
-// each session path) plus the paper's stateless destination echo
-// (Figure 4), and talks the src/wire format over UDP with source-node
-// clients (transport/client.hpp), which run the paper's Figure-3 source
-// tasks.  The hop contract is exactly the simulator's dedicated-access
-// mode: hop 0 is the source (on the far side of the socket), hop k in
-// [1, len) is the RouterLink at path.links[k], hop == len is the
-// destination echo.  Hops that stay inside the daemon ride the
+// A Daemon serves one core::RouterPlane (the simulator binding's
+// RouterLinks and destination echo) over UDP to source-node clients
+// (transport/client.hpp), which run the paper's Figure-3 source tasks.
+// The hop contract is exactly the simulator's dedicated-access mode: hop
+// 0 is the source (on the far side of the socket), hop k in [1, len) is
+// the RouterLink at path.links[k], hop == len is the destination echo
+// (Figure 4).  Hops that stay inside the daemon ride the
 // transport's local-handoff queue (FIFO, like the simulator's
 // zero-delay events); hops that cross to a source are encoded and sent
 // to the client endpoint recorded at Join time.
@@ -15,7 +14,7 @@
 // Session paths arrive on the wire: the Join frame carries the full
 // link path (a deliberate divergence from the paper's abstract
 // messages; docs/wire_format.md).  The daemon validates it against its
-// own topology before admitting the session.
+// own topology (net::Network::path_error) before admitting the session.
 //
 // Nothing in the ingress path aborts: decode failures are dropped by
 // UdpTransport, semantic violations (unknown session, bad hop, path
@@ -42,8 +41,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "base/slab.hpp"
-#include "core/router_link.hpp"
+#include "core/router_plane.hpp"
 #include "net/routing.hpp"
 #include "transport/fault.hpp"
 #include "transport/udp.hpp"
@@ -99,7 +97,9 @@ class Daemon final : public core::Transport, public TransportSink {
 
   /// Every instantiated RouterLink task is stable (no probe cycle in
   /// flight inside the router plane).
-  [[nodiscard]] bool stable() const;
+  [[nodiscard]] bool stable() const { return plane_.stable(); }
+  /// For audits; read it only while no thread runs serve() or step().
+  [[nodiscard]] const core::RouterPlane& plane() const { return plane_; }
   [[nodiscard]] std::uint32_t active_sessions() const { return live_; }
   [[nodiscard]] const DaemonStats& stats() const { return stats_; }
   [[nodiscard]] UdpTransport& transport() { return transport_; }
@@ -136,10 +136,9 @@ class Daemon final : public core::Transport, public TransportSink {
   void on_frame(const wire::Frame& f, const Endpoint& from);
   /// Validates and admits one peer packet; returns nullopt on success.
   std::optional<Reject> ingress(const wire::Frame& f, const Endpoint& from);
-  const char* validate_join_path(const std::vector<LinkId>& path) const;
   void count_reject(const Reject& r);
+  const net::Path& path_of(SessionId s) const;  // of a registered session
   void deliver(const core::Packet& p);
-  core::RouterLink& router_link_at(LinkId e);
   /// Reaps the sessions of clients silent past session_expiry.
   void sweep_liveness(TimeNs t);
   void maybe_summary(TimeNs t);
@@ -148,9 +147,7 @@ class Daemon final : public core::Transport, public TransportSink {
   DaemonOptions opts_;
   std::optional<FaultInjector> fault_;
   UdpTransport transport_;
-
-  Slab<core::RouterLink> link_arena_;
-  std::vector<std::int32_t> link_slot_;  // link id -> arena slot, -1 unused
+  core::RouterPlane plane_;
 
   // Session registry, learned from Join frames.  Records are tombstoned
   // on Leave, never erased: late packets for a departed session are

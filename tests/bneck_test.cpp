@@ -255,7 +255,7 @@ TEST(Bneck, LeaveOfAllSessionsLeavesCleanNetwork) {
   EXPECT_EQ(h.bneck.active_sessions(), 0u);
   // Every router link table must be empty.
   for (std::int32_t i = 0; i < n.link_count(); ++i) {
-    const RouterLink* rl = h.bneck.router_link(LinkId{i});
+    const RouterLink* rl = h.bneck.plane().find(LinkId{i});
     if (rl != nullptr) {
       EXPECT_EQ(rl->table().size(), 0u);
     }

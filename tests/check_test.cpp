@@ -11,7 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-
+#include <limits>
 #include <string>
 
 #include "check/runner.hpp"
@@ -181,10 +181,38 @@ TEST(Scenario, ParseSpecRejectsMalformedInput) {
   EXPECT_THROW((void)parse_spec("v1 topo=klein_bottle"), InvariantError);
   EXPECT_THROW((void)parse_spec("v1 ev=x@0:s0"), InvariantError);
   EXPECT_THROW((void)parse_spec("v1 ev=j@0:s0"), InvariantError);
-  // stoll/stod failures surface as the documented InvariantError too.
+  // Unparseable numbers surface as the documented InvariantError too.
   EXPECT_THROW((void)parse_spec("v1 a=zz"), InvariantError);
   EXPECT_THROW((void)parse_spec("v1 a=99999999999999999999"), InvariantError);
   EXPECT_THROW((void)parse_spec("v1 rcap=1e999999"), InvariantError);
+}
+
+TEST(Scenario, SpecRoundTripsSeedsAboveInt64) {
+  // bneck_check prints a replay spec for any failing seed, so every
+  // uint64 seed must parse back, the generated scenario included.
+  const std::uint64_t seed = 9223372036854775810ull;  // 2^63 + 2
+  Scenario sc = generate_scenario(seed);
+  sc.topo.seed = std::numeric_limits<std::uint64_t>::max();
+  const std::string spec = format_spec(sc);
+  const Scenario back = parse_spec(spec);
+  EXPECT_EQ(back.seed, seed);
+  EXPECT_EQ(back.topo.seed, sc.topo.seed);
+  EXPECT_EQ(back.events, sc.events);
+  EXPECT_EQ(format_spec(back), spec);
+  // A seed is a count: no sign, nothing past uint64.
+  EXPECT_THROW((void)parse_spec("v1 seed=-1"), InvariantError);
+  EXPECT_THROW((void)parse_spec("v1 tseed=18446744073709551616"),
+               InvariantError);
+}
+
+TEST(Scenario, ParseSpecRefusesInt32FieldsOutOfRange) {
+  // 4294967299 = 2^32 + 3 used to replay silently as 3.
+  EXPECT_THROW((void)parse_spec("v1 a=4294967299"), InvariantError);
+  EXPECT_THROW((void)parse_spec("v1 hosts=-2147483649"), InvariantError);
+  EXPECT_THROW((void)parse_spec("v1 ev=l@0:s4294967296"), InvariantError);
+  EXPECT_THROW((void)parse_spec("v1 ev=j@0:s0:h4294967296>h1:dinf"),
+               InvariantError);
+  EXPECT_EQ(parse_spec("v1 a=2147483647").topo.a, 2147483647);
 }
 
 // ---- the checker on the correct protocol ----

@@ -7,6 +7,8 @@
 
 #include <chrono>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "check/compliance.hpp"
 #include "check/scenario.hpp"
@@ -239,6 +241,61 @@ TEST(DaemonLoopback, ExpiresSessionsOfSilentClients) {
   probe.shutdown_daemon();
   daemon.request_stop();
   server.join();
+}
+
+// The deployed router plane goes through the simulator checkers' table
+// audit.  Daemon and client are pumped on this one thread, so the test
+// reads the plane between steps, never while the daemon runs.
+TEST(DaemonLoopback, RouterPlaneTablesAuditCleanAndDrainOnLeave) {
+  const net::Network net = make_net();
+  Daemon daemon(net);
+  SourceClient client(net, daemon.endpoint());
+  const core::RouterPlane& plane = daemon.plane();
+  const auto records = [&plane] {
+    std::size_t n = 0;
+    for (const LinkId e : plane.active_links()) {
+      n += plane.find(e)->table().size();
+    }
+    return n;
+  };
+  const auto audit_all = [&plane] {
+    for (const LinkId e : plane.active_links()) {
+      EXPECT_EQ(plane.find(e)->table().audit(), "") << "link " << e.value();
+    }
+  };
+  const auto pump_until = [&](const auto& done) {
+    for (int i = 0; i < 2000 && !done(); ++i) {
+      daemon.step(0);
+      client.poll(1);
+    }
+    return done();
+  };
+
+  // Three sessions share the parking lot's last hop; a fourth runs the
+  // other way.  Every session has its own source host (dedicated access).
+  const std::vector<std::pair<std::size_t, std::size_t>> ends = {
+      {0, 3}, {1, 3}, {2, 3}, {3, 0}};
+  std::size_t router_hops = 0;
+  for (std::size_t i = 0; i < ends.size(); ++i) {
+    const net::Path path = *net::PathFinder(net).shortest_path(
+        net.hosts()[ends[i].first], net.hosts()[ends[i].second]);
+    router_hops += path.links.size() - 1;  // hop 0 is the client's
+    client.join(SessionId{static_cast<std::int32_t>(i)}, path, kRateInfinity);
+  }
+  ASSERT_TRUE(pump_until([&] {
+    return client.sources_stable() && daemon.stable() &&
+           daemon.active_sessions() == ends.size();
+  }));
+  EXPECT_EQ(records(), router_hops);  // one record per session per hop
+  audit_all();
+
+  for (std::size_t i = 0; i < ends.size(); ++i) {
+    client.leave(SessionId{static_cast<std::int32_t>(i)});
+  }
+  ASSERT_TRUE(pump_until([&] {
+    return daemon.active_sessions() == 0 && daemon.stable() && records() == 0;
+  })) << records() << " records left in the router plane";
+  audit_all();
 }
 
 }  // namespace

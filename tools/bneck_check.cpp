@@ -31,8 +31,12 @@
 #include "check/runner.hpp"
 #include "check/scenario.hpp"
 #include "check/shrink.hpp"
+#include "cli.hpp"
 
 namespace {
+
+using bneck::cli::parse_count;
+using bneck::cli::parse_seed_range;
 
 void usage(const char* argv0) {
   std::printf(
@@ -86,19 +90,6 @@ struct Args {
   bneck::check::CheckOptions check;
 };
 
-/// Parses all of `text` as a decimal count in [lo, hi]: digits only (no
-/// sign, no leading space), no trailing characters, no overflow.
-bool parse_count(const char* text, std::uint64_t lo, std::uint64_t hi,
-                 std::uint64_t* out) {
-  if (*text < '0' || *text > '9') return false;
-  errno = 0;
-  char* end = nullptr;
-  const std::uint64_t v = std::strtoull(text, &end, 10);
-  if (errno == ERANGE || *end != '\0' || v < lo || v > hi) return false;
-  *out = v;
-  return true;
-}
-
 /// Parses all of `text` as a finite non-negative decimal number (no
 /// sign, no trailing characters).
 bool parse_multiplier(const char* text, double* out) {
@@ -111,21 +102,6 @@ bool parse_multiplier(const char* text, double* out) {
   }
   *out = v;
   return true;
-}
-
-/// "A..B" (inclusive, A <= B) or a single seed "N".
-bool parse_seed_range(const char* text, std::uint64_t* first,
-                      std::uint64_t* last) {
-  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
-  const char* dots = std::strstr(text, "..");
-  if (dots == nullptr) {
-    if (!parse_count(text, 0, kMax, first)) return false;
-    *last = *first;
-    return true;
-  }
-  const std::string head(text, dots);
-  return parse_count(head.c_str(), 0, kMax, first) &&
-         parse_count(dots + 2, 0, kMax, last) && *first <= *last;
 }
 
 bool parse_args(int argc, char** argv, Args* a) {

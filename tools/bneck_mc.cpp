@@ -23,17 +23,23 @@
 //
 // Exit code: 0 all instances pass and agree; 1 on a DPOR disagreement or
 // an incomplete exploration (a cap was hit); 2 when some schedule
-// violates an invariant (the witness schedule is printed).
+// violates an invariant (the witness schedule is printed), and on a
+// usage error: an unknown flag, or a value that is not read in full or
+// is out of range.
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "check/scenario.hpp"
+#include "cli.hpp"
 #include "mc/explorer.hpp"
 
 namespace {
+
+using bneck::cli::parse_count;
 
 void usage(const char* argv0) {
   std::printf(
@@ -67,33 +73,39 @@ struct Args {
 };
 
 bool parse_args(int argc, char** argv, Args* a) {
+  constexpr auto kMaxU64 = std::numeric_limits<std::uint64_t>::max();
+  constexpr auto kMaxI32 =
+      static_cast<std::uint64_t>(std::numeric_limits<std::int32_t>::max());
   for (int i = 1; i < argc; ++i) {
     const auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
+    // Numeric flags: the whole next argument, in [lo, hi], or a refusal.
+    const auto next_count = [&](std::uint64_t lo, std::uint64_t hi,
+                                std::uint64_t* out) {
+      const char* flag = argv[i];
+      const char* v = next();
+      if (parse_count(v, lo, hi, out)) return true;
+      std::fprintf(stderr, "bad value '%s' for %s\n", v != nullptr ? v : "",
+                   flag);
+      return false;
+    };
+    std::uint64_t n = 0;
     if (std::strcmp(argv[i], "--routers") == 0) {
-      const char* v = next();
-      if (v == nullptr) return false;
-      a->small.routers = static_cast<std::int32_t>(std::atoi(v));
+      if (!next_count(1, 3, &n)) return false;
+      a->small.routers = static_cast<std::int32_t>(n);
     } else if (std::strcmp(argv[i], "--sessions") == 0) {
-      const char* v = next();
-      if (v == nullptr) return false;
-      a->small.sessions = static_cast<std::int32_t>(std::atoi(v));
+      if (!next_count(1, 4, &n)) return false;
+      a->small.sessions = static_cast<std::int32_t>(n);
     } else if (std::strcmp(argv[i], "--extra") == 0) {
-      const char* v = next();
-      if (v == nullptr) return false;
-      a->small.extra_events = static_cast<std::int32_t>(std::atoi(v));
+      if (!next_count(0, kMaxI32, &n)) return false;
+      a->small.extra_events = static_cast<std::int32_t>(n);
     } else if (std::strcmp(argv[i], "--seeds") == 0) {
-      const char* v = next();
-      if (v == nullptr) return false;
-      char* end = nullptr;
-      a->seed_first = std::strtoull(v, &end, 10);
-      if (end != nullptr && end[0] == '.' && end[1] == '.') {
-        a->seed_last = std::strtoull(end + 2, nullptr, 10);
-      } else {
-        a->seed_last = a->seed_first;
+      if (!bneck::cli::parse_seed_range(next(), &a->seed_first,
+                                        &a->seed_last)) {
+        std::fprintf(stderr, "bad --seeds (want A..B or N)\n");
+        return false;
       }
-      if (a->seed_last < a->seed_first) return false;
     } else if (std::strcmp(argv[i], "--spec") == 0) {
       const char* v = next();
       if (v == nullptr) return false;
@@ -112,17 +124,14 @@ bool parse_args(int argc, char** argv, Args* a) {
         return false;
       }
     } else if (std::strcmp(argv[i], "--depth") == 0) {
-      const char* v = next();
-      if (v == nullptr) return false;
-      a->mc.max_depth = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
+      if (!next_count(1, kMaxU64, &n)) return false;
+      a->mc.max_depth = static_cast<std::size_t>(n);
     } else if (std::strcmp(argv[i], "--max-states") == 0) {
-      const char* v = next();
-      if (v == nullptr) return false;
-      a->mc.max_states = std::strtoull(v, nullptr, 10);
+      if (!next_count(1, kMaxU64, &n)) return false;
+      a->mc.max_states = n;
     } else if (std::strcmp(argv[i], "--max-events") == 0) {
-      const char* v = next();
-      if (v == nullptr) return false;
-      a->mc.world.max_events = std::strtoull(v, nullptr, 10);
+      if (!next_count(1, kMaxU64, &n)) return false;
+      a->mc.world.max_events = n;
     } else if (std::strcmp(argv[i], "--inject-fault") == 0) {
       const char* v = next();
       if (v == nullptr) return false;
@@ -233,12 +242,20 @@ int main(int argc, char** argv) {
   Args args;
   if (!parse_args(argc, argv, &args)) {
     usage(argv[0]);
-    return 1;
+    return 2;
   }
 
   int rc = 0;
   if (!args.spec.empty()) {
-    rc = check_instance(bneck::check::parse_spec(args.spec), args);
+    bneck::check::Scenario sc;
+    try {
+      sc = bneck::check::parse_spec(args.spec);
+    } catch (const bneck::InvariantError& e) {
+      std::fprintf(stderr, "bneck_mc: bad --spec: %s\n", e.what());
+      usage(argv[0]);
+      return 2;
+    }
+    rc = check_instance(sc, args);
   } else {
     for (std::uint64_t s = args.seed_first; s <= args.seed_last; ++s) {
       rc = std::max(

@@ -17,9 +17,7 @@
 // checks on the compliance path.
 #include <signal.h>
 
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <memory>
@@ -27,6 +25,7 @@
 #include <string>
 
 #include "check/scenario.hpp"
+#include "cli.hpp"
 #include "transport/daemon.hpp"
 
 namespace {
@@ -54,19 +53,6 @@ void usage(const char* argv0) {
       argv0);
 }
 
-/// Parses all of `text` as a decimal integer in [0, max]; nullopt on a
-/// missing value, trailing characters or overflow.
-std::optional<int> parse_int(const char* text, long max) {
-  if (text == nullptr) return std::nullopt;
-  errno = 0;
-  char* end = nullptr;
-  const long v = std::strtol(text, &end, 10);
-  if (end == text || *end != '\0' || errno == ERANGE || v < 0 || v > max) {
-    return std::nullopt;
-  }
-  return static_cast<int>(v);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -79,10 +65,11 @@ int main(int argc, char** argv) {
     const auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
-    const auto next_int = [&](int& out, long max) {
-      const auto v = parse_int(next(), max);
-      if (v) out = *v;
-      return v.has_value();
+    const auto next_int = [&](int& out, std::uint64_t max) {
+      std::uint64_t v = 0;
+      if (!bneck::cli::parse_count(next(), 0, max, &v)) return false;
+      out = static_cast<int>(v);
+      return true;
     };
     if (std::strcmp(argv[i], "--topo") == 0) {
       const char* v = next();
