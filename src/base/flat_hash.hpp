@@ -1,14 +1,14 @@
 // Open-addressing hash map keyed by a strong Id.
 //
-// The per-link session tables (core/link_table.hpp) do one hash lookup
-// per protocol packet per hop; profiling the paper's Experiment 2 put
-// ~40% of total wall-clock inside std::unordered_map::find on those
-// tables (node-based buckets: one indirection per probe, poor locality).
+// The per-link session tables (core/link_table.hpp) hold one record per
+// session per hop, and the protocol touches one on every packet.
 // FlatIdMap stores {key, value} slots contiguously with linear probing
 // and backward-shift deletion, so the common hit costs one multiply, one
 // mask and one or two adjacent cache lines — key and value share a line,
 // which is the whole win over any two-structure (index + slab) layout:
 // a lookup that misses cache pays for exactly one stream, not two.
+// Most packets skip the probe altogether through a cached {V*, epoch}
+// (below; core::RouterPlane keeps one per session hop).
 //
 // Epoch-validated slot lookup (the basis of handle-oriented dispatch,
 // core/link_table.hpp): because values live inline in the probe array,
@@ -179,6 +179,12 @@ class FlatIdMap {
     std::int32_t key = -1;  // -1 = empty
     V value{};
   };
+
+ public:
+  /// Bytes per probe-array slot (key plus inline value).
+  static constexpr std::size_t kSlotBytes = sizeof(Slot);
+
+ private:
 
   /// Fibonacci hash of the 32-bit id: the top log2(capacity) bits of the
   /// golden-ratio product, which mix every input bit.

@@ -16,7 +16,7 @@ BneckProtocol::BneckProtocol(sim::Simulator& simulator,
       plane_(network, *this, config.fault_single_kick),
       sources_in_use_(static_cast<std::size_t>(network.node_count()), 0) {}
 
-std::int32_t BneckProtocol::register_session(SessionId s) {
+std::int32_t BneckProtocol::register_session(SessionId s, net::Path path) {
   BNECK_EXPECT(s.valid(), "invalid session id");
   BNECK_EXPECT(slot_of(s) < 0, "session ids are single-use (no re-join)");
   const auto slot = static_cast<std::int32_t>(sessions_.size());
@@ -27,8 +27,11 @@ std::int32_t BneckProtocol::register_session(SessionId s) {
   } else {
     sparse_ids_.try_emplace(s, slot);
   }
+  RouterPlane::build_route(net_, path.links, hops_);
+  route_at_.push_back(static_cast<std::uint32_t>(hops_.size()));
   sessions_.emplace_back();
   sessions_.back().id = s;
+  sessions_.back().path = std::move(path);
   return slot;
 }
 
@@ -66,9 +69,8 @@ void BneckProtocol::join(SessionId s, net::Path path, Rate demand,
                "lift the paper's simplification)");
   ++in_use;
 
-  const std::int32_t slot = register_session(s);
+  const std::int32_t slot = register_session(s, std::move(path));
   SessionRt& rt = sessions_[static_cast<std::size_t>(slot)];
-  rt.path = std::move(path);
   rt.demand = demand;
   rt.weight = weight;
   rt.source = make_source(rt);
@@ -78,9 +80,7 @@ void BneckProtocol::join(SessionId s, net::Path path, Rate demand,
 
 void BneckProtocol::register_remote(SessionId s, net::Path path) {
   BNECK_EXPECT(path.links.size() >= 2, "path needs access links at both ends");
-  const std::int32_t slot = register_session(s);
-  SessionRt& rt = sessions_[static_cast<std::size_t>(slot)];
-  rt.path = std::move(path);
+  register_session(s, std::move(path));
   // No source, no active count: deliver() routes RouterLink/destination
   // hops through the path and drops source-hop packets, the tombstone
   // behavior leave() relies on already.
@@ -184,24 +184,23 @@ std::uint64_t BneckProtocol::probe_cycles(SessionId s) const {
                    : 0;
 }
 
-BneckProtocol::SessionRt& BneckProtocol::runtime_for_send(SessionId s) {
-  if (s == delivering_id_ && delivering_slot_ >= 0) {
-    return sessions_[static_cast<std::size_t>(delivering_slot_)];
-  }
-  return runtime(s);
+std::int32_t BneckProtocol::slot_for_send(SessionId s) {
+  if (s == delivering_id_ && delivering_slot_ >= 0) return delivering_slot_;
+  const std::int32_t slot = slot_of(s);
+  BNECK_EXPECT(slot >= 0, "unknown session");
+  return slot;
 }
 
 void BneckProtocol::send_downstream(Packet p, std::int32_t from_hop) {
-  SessionRt& rt = runtime_for_send(p.session);
+  const std::int32_t slot = slot_for_send(p.session);
   const std::int32_t source_emit = cfg_.shared_access_links ? -1 : 0;
   if (from_hop == source_emit &&
       (p.type == PacketType::Join || p.type == PacketType::Probe)) {
-    ++rt.probe_cycles;
+    ++sessions_[static_cast<std::size_t>(slot)].probe_cycles;
     ++total_probe_cycles_;
   }
   BNECK_EXPECT(is_downstream(p.type), "upstream packet sent downstream");
-  BNECK_EXPECT(from_hop >= -1 &&
-                   from_hop < static_cast<std::int32_t>(rt.path.links.size()),
+  BNECK_EXPECT(from_hop >= -1 && from_hop < route_size(slot) - 1,
                "bad downstream hop");
   if (from_hop == -1) {
     // Shared-access extension: host-internal handoff from the source
@@ -210,14 +209,13 @@ void BneckProtocol::send_downstream(Packet p, std::int32_t from_hop) {
     transport_.local(p);
     return;
   }
-  transmit(p, rt.path.links[static_cast<std::size_t>(from_hop)], from_hop + 1);
+  transmit(p, route(slot)[from_hop].down, from_hop + 1);
 }
 
 void BneckProtocol::send_upstream(Packet p, std::int32_t from_hop) {
-  const SessionRt& rt = runtime_for_send(p.session);
+  const std::int32_t slot = slot_for_send(p.session);
   BNECK_EXPECT(!is_downstream(p.type), "downstream packet sent upstream");
-  BNECK_EXPECT(from_hop >= 0 &&
-                   from_hop <= static_cast<std::int32_t>(rt.path.links.size()),
+  BNECK_EXPECT(from_hop >= 0 && from_hop < route_size(slot),
                "bad upstream hop");
   if (from_hop == 0) {
     // Shared-access extension: the first RouterLink hands the packet to
@@ -227,10 +225,7 @@ void BneckProtocol::send_upstream(Packet p, std::int32_t from_hop) {
     transport_.local(p);
     return;
   }
-  const std::int32_t to_hop = from_hop - 1;
-  const LinkId physical =
-      net_.link(rt.path.links[static_cast<std::size_t>(to_hop)]).reverse;
-  transmit(p, physical, to_hop);
+  transmit(p, route(slot)[from_hop].up, from_hop - 1);
 }
 
 BneckProtocol::Snapshot BneckProtocol::snapshot() const {
@@ -283,6 +278,8 @@ void BneckProtocol::restore(const Snapshot& snap) {
     }
     sessions_.pop_back();
   }
+  route_at_.resize(sessions_.size() + 1);
+  hops_.resize(route_at_.back());
   for (std::size_t i = 0; i < sessions_.size(); ++i) {
     SessionRt& rt = sessions_[i];
     const Snapshot::SessionState& st = snap.sessions[i];
@@ -313,9 +310,10 @@ void BneckProtocol::restore(const Snapshot& snap) {
 
 void BneckProtocol::deliver(const Packet& p) {
   // Resolve the session once; the (id, slot) pair is published for
-  // runtime_for_send so the sends this delivery triggers skip the
-  // lookup.  Each RouterLink handler in turn resolves its table record
-  // once into a SessionHandle (router_link.hpp).
+  // slot_for_send so the sends this delivery triggers skip the lookup.
+  // The route built at admission names the hop's RouterLink and holds
+  // the hint its handler resolves the table record through
+  // (router_plane.hpp).
   const std::int32_t slot = slot_of(p.session);
   BNECK_EXPECT(slot >= 0, "unknown session");
   delivering_id_ = p.session;
@@ -333,7 +331,20 @@ void BneckProtocol::deliver(const Packet& p) {
     BNECK_EXPECT(handled, "downstream packet at source");
     return;
   }
-  plane_.deliver(p, rt.path.links);
+  plane_.deliver(p, route(slot));
+}
+
+void BneckProtocol::prefetch(const Packet& p, sim::Lookahead stage) {
+  const std::int32_t slot = slot_of(p.session);
+  if (slot < 0) return;
+  const std::int32_t source_hop = cfg_.shared_access_links ? -1 : 0;
+  if (p.hop <= source_hop || p.hop >= route_size(slot)) return;
+  const RouterPlane::Hop* hop = route(slot) + p.hop;
+  if (stage == sim::Lookahead::kFar) {
+    __builtin_prefetch(hop);
+  } else {
+    plane_.prefetch(*hop);
+  }
 }
 
 }  // namespace bneck::core

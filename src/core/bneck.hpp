@@ -224,6 +224,10 @@ class BneckProtocol final : public Transport,
   // ---- transport::TransportSink (driven by the wire backend) ----
   void on_wire(const Packet& p, LinkId physical) override;
   void on_packet(const Packet& p) override { deliver(p); }
+  /// The simulator's look-ahead: kFar pulls in the route hop the packet
+  /// will be handled at, kNear (that hop now cached) its RouterLink and
+  /// record.  Never mutates state.
+  void prefetch(const Packet& p, sim::Lookahead stage) override;
 
  private:
   struct SessionRt {
@@ -246,17 +250,26 @@ class BneckProtocol final : public Transport,
     const std::int32_t* slot = sparse_ids_.find(s);
     return slot != nullptr ? *slot : -1;
   }
-  std::int32_t register_session(SessionId s);  // new slot; rejects reuse
+  /// A new slot for `s` (rejects reuse) with its path and route.
+  std::int32_t register_session(SessionId s, net::Path path);
+  /// The route of the session in `slot` (path length + 1 hops).
+  [[nodiscard]] RouterPlane::Hop* route(std::int32_t slot) {
+    return hops_.data() + route_at_[static_cast<std::size_t>(slot)];
+  }
+  [[nodiscard]] std::int32_t route_size(std::int32_t slot) const {
+    const auto i = static_cast<std::size_t>(slot);
+    return static_cast<std::int32_t>(route_at_[i + 1] - route_at_[i]);
+  }
 
   SessionRt& runtime(SessionId s);
   /// Builds the SourceNode task for a session (the mode-dependent half
   /// of join(); restore() re-runs it when rolling a departed session
   /// back to life).
   [[nodiscard]] std::unique_ptr<SourceNode> make_source(const SessionRt& rt);
-  /// Like runtime(), but reuses the slot deliver() already resolved when
+  /// The slot of `s`, reusing the one deliver() already resolved when
   /// the send is for the packet being delivered — the common case for
   /// every forwarding hop, so the per-hop send costs no id lookup.
-  SessionRt& runtime_for_send(SessionId s);
+  std::int32_t slot_for_send(SessionId s);
   void transmit(Packet p, LinkId physical, std::int32_t to_hop);
   void deliver(const Packet& p);
   void on_rate(SessionId s, Rate r);
@@ -281,7 +294,12 @@ class BneckProtocol final : public Transport,
   std::vector<SessionRt> sessions_;
   std::vector<std::int32_t> id_to_slot_;            // ids < kDenseIdLimit
   FlatIdMap<SessionTag, std::int32_t> sparse_ids_;  // the rest
-  // deliver()'s resolved (id, slot), reused by runtime_for_send() for
+  // Every slot's route, built once in register_session(): slot i owns
+  // hops_[route_at_[i], route_at_[i + 1]).  Slots are append-only, so
+  // restore() truncates both.
+  std::vector<RouterPlane::Hop> hops_;
+  std::vector<std::uint32_t> route_at_{0};
+  // deliver()'s resolved (id, slot), reused by slot_for_send() for
   // the sends the handler emits for that same session.  A slot is
   // stable for the session's lifetime (tombstoned, never reused), so
   // the cache can never go stale — at worst it misses.

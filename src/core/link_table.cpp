@@ -30,7 +30,7 @@ LinkSessionTable::SessionHandle LinkSessionTable::insert_R(SessionId s,
   BNECK_EXPECT(weight > 0 && std::isfinite(weight),
                "session weight must be positive and finite");
   const auto [slot, inserted] =
-      recs_.try_emplace(s, Rec{Mu::WaitingResponse, 0, weight, true, hop});
+      recs_.try_emplace(s, Rec{0, weight, hop, Mu::WaitingResponse, true});
   BNECK_EXPECT(inserted, "duplicate Join at link");
   ++r_count_;
   r_weight_ += weight;
@@ -372,7 +372,7 @@ void LinkSessionTable::restore(const Snapshot& snap) {
   f_ = Index();
   for (const Snapshot::Row& row : snap.rows) {
     const auto [slot, inserted] = recs_.try_emplace(
-        row.s, Rec{row.mu, row.lambda, row.weight, row.in_r, row.hop});
+        row.s, Rec{row.lambda, row.weight, row.hop, row.mu, row.in_r});
     (void)slot;
     BNECK_EXPECT(inserted, "duplicate session in table snapshot");
     if (row.in_r) {

@@ -12,7 +12,10 @@
 //
 // Access model (contract): the packet hot path is *handle-oriented*.  A
 // RouterLink handler resolves the packet's session exactly once —
-// find(s) -> SessionHandle — and every subsequent read (mu, lambda,
+// resolve(s, hint) -> SessionHandle, where `hint` is the record pointer
+// the session's route caches for this hop (core/router_plane.hpp): no
+// probe while the map epoch is unchanged, else one find(s) that also
+// refreshes the hint — and every subsequent read (mu, lambda,
 // weight, hop, in_R, rate_of) and mutation (set_mu, set_weight,
 // set_idle_with_lambda, move_to_R/F, erase) takes the handle, costing
 // an epoch compare plus a direct record access instead of a repeated
@@ -81,18 +84,20 @@ constexpr const char* mu_name(Mu m) {
 
 class LinkSessionTable {
  private:
+  // Widest fields first: 24 bytes, so a record-map slot (key + Rec)
+  // is 32 bytes and two share a cache line.
   struct Rec {
-    Mu mu = Mu::WaitingResponse;
     Rate lambda = 0;       // level (rate / weight)
     double weight = 1.0;   // max-min weight, > 0
-    bool in_r = true;
     std::int32_t hop = 0;
+    Mu mu = Mu::WaitingResponse;
+    bool in_r = true;
   };
 
  public:
   /// A resolved session record: {record pointer, map epoch, session
-  /// id}.  Obtained from find()/insert_R(); accessors take it by
-  /// *reference* because access may refresh it: while the record map's
+  /// id}.  Obtained from find()/resolve()/insert_R(); accessors take
+  /// it by *reference* because access may refresh it: while the record map's
   /// epoch is unchanged the cached pointer is exact and an access costs
   /// one compare, and when slots moved (a rehash or an erase of any
   /// session) the next access transparently re-resolves with a single
@@ -118,16 +123,43 @@ class LinkSessionTable {
     SessionId s_;
   };
 
+  /// A cached resolution of one session's record, kept by the caller
+  /// across packets (core::RouterPlane::Hop holds one per route hop):
+  /// the record pointer and the map epoch it was taken at.  resolve()
+  /// trusts it only while the epoch is unchanged; a null hint never
+  /// counts as resolved.
+  struct Hint {
+    Rec* rec = nullptr;
+    std::uint64_t epoch = 0;
+  };
+
   explicit LinkSessionTable(Rate capacity);
 
   [[nodiscard]] Rate capacity() const { return capacity_; }
 
-  /// THE hot-path lookup: resolves s to a handle (null if unknown).
-  /// One hash probe; everything else on the packet path reads and
-  /// mutates through the result.
+  /// Resolves s to a handle (null if unknown) with one hash probe;
+  /// the packet path reaches it through resolve(), everything after
+  /// reads and mutates through the result.
   [[nodiscard]] SessionHandle find(SessionId s) const {
     auto& recs = const_cast<FlatIdMap<SessionTag, Rec>&>(recs_);
     return SessionHandle{recs.find(s), recs_.epoch(), s};
+  }
+
+  /// find() through a caller-kept hint: when `hint` still matches the
+  /// record map's epoch no slot has moved, so its pointer is exact and
+  /// no probe is made; otherwise one find() re-resolves and refreshes
+  /// `hint`.  The result is the handle find(s) would return.
+  [[nodiscard]] SessionHandle resolve(SessionId s, Hint& hint) const {
+    if (hint.rec != nullptr && hint.epoch == recs_.epoch()) {
+      return SessionHandle{hint.rec, hint.epoch, s};
+    }
+    const SessionHandle h = find(s);
+    hint = Hint{h.rec_, h.epoch_};
+    return h;
+  }
+  /// The hint that resolves to `h`'s record while the epoch holds.
+  [[nodiscard]] static Hint hint_of(const SessionHandle& h) {
+    return Hint{h.rec_, h.epoch_};
   }
 
   // ---- handle-keyed reads (the packet path) ----
@@ -407,10 +439,13 @@ class LinkSessionTable {
   }
 
   Rate capacity_;
-  // One lookup per packet per hop resolves into a handle; subsequent
-  // accesses ride the epoch check.  The open-addressing map is the hot
-  // container of the whole simulation (see base/flat_hash.hpp).
+  // One resolve() per packet per hop (usually a hint hit, else one
+  // probe) yields a handle; subsequent accesses ride the epoch check.
+  // The open-addressing map is the hot container of the whole
+  // simulation (see base/flat_hash.hpp).
   FlatIdMap<SessionTag, Rec> recs_;
+  static_assert(FlatIdMap<SessionTag, Rec>::kSlotBytes == 32,
+                "a record-map slot is half a cache line");
   Index idle_r_;  // (λ, s) for s ∈ Re with µ = IDLE (λ is a level)
   Index f_;       // (λ, s) for s ∈ Fe (λ is a level)
   std::size_t r_count_ = 0;

@@ -30,8 +30,9 @@ void RouterLink::process_new_restricted() {
   kick_batch(scratch_);
 }
 
-void RouterLink::on_join(const Packet& p, std::int32_t hop) {
-  table_.insert_R(p.session, hop, p.weight);
+void RouterLink::on_join(const Packet& p, Hint& hint) {
+  const SessionHandle h = table_.insert_R(p.session, p.hop, p.weight);
+  hint = LinkSessionTable::hint_of(h);
   process_new_restricted();
   Packet q = p;
   const Rate be = table_.be();
@@ -39,10 +40,10 @@ void RouterLink::on_join(const Packet& p, std::int32_t hop) {
     q.lambda = be;
     q.eta = id_;
   }
-  transport_.send_downstream(q, hop);
+  transport_.send_downstream(q, p.hop);
 }
 
-void RouterLink::on_probe(const Packet& p, std::int32_t hop) {
+void RouterLink::on_probe(const Packet& p, Hint& hint) {
   // A Probe can only follow the session's Join on the same FIFO path, so
   // the session is known here — `h` is live for the whole handler.  The
   // probe re-announces the weight; API.Change may have retuned it, which
@@ -51,7 +52,7 @@ void RouterLink::on_probe(const Packet& p, std::int32_t hop) {
   // the pre-change Be may deserve more if Be rises (cf. Leave), and
   // ProcessNewRestricted below re-probes whoever sits above the
   // post-change Be if it falls.
-  SessionHandle h = table_.find(p.session);
+  SessionHandle h = table_.resolve(p.session, hint);
   const bool reweighted = table_.weight(h) != p.weight;
   if (reweighted) {
     table_.idle_R_at(table_.be(), p.session, scratch_);
@@ -71,11 +72,11 @@ void RouterLink::on_probe(const Packet& p, std::int32_t hop) {
     q.lambda = be;
     q.eta = id_;
   }
-  transport_.send_downstream(q, hop);
+  transport_.send_downstream(q, p.hop);
 }
 
-void RouterLink::on_response(const Packet& p, std::int32_t hop) {
-  SessionHandle h = table_.find(p.session);
+void RouterLink::on_response(const Packet& p, Hint& hint) {
+  SessionHandle h = table_.resolve(p.session, hint);
   if (!h.valid()) return;  // session left; Leave overtook us
   Packet q = p;
   if (q.tag == ResponseTag::Update) {
@@ -104,35 +105,35 @@ void RouterLink::on_response(const Packet& p, std::int32_t hop) {
       }
     }
   }
-  transport_.send_upstream(q, hop);
+  transport_.send_upstream(q, p.hop);
 }
 
-void RouterLink::on_update(const Packet& p, std::int32_t hop) {
-  SessionHandle h = table_.find(p.session);
+void RouterLink::on_update(const Packet& p, Hint& hint) {
+  SessionHandle h = table_.resolve(p.session, hint);
   if (!h.valid()) return;
   if (table_.mu(h) == Mu::Idle) {
     table_.set_mu(h, Mu::WaitingProbe);
-    transport_.send_upstream(p, hop);
+    transport_.send_upstream(p, p.hop);
   }
 }
 
-void RouterLink::on_bottleneck(const Packet& p, std::int32_t hop) {
-  SessionHandle h = table_.find(p.session);
+void RouterLink::on_bottleneck(const Packet& p, Hint& hint) {
+  SessionHandle h = table_.resolve(p.session, hint);
   if (!h.valid()) return;
   if (table_.mu(h) == Mu::Idle && table_.in_R(h)) {
-    transport_.send_upstream(p, hop);
+    transport_.send_upstream(p, p.hop);
   }
 }
 
-void RouterLink::on_set_bottleneck(const Packet& p, std::int32_t hop) {
-  SessionHandle h = table_.find(p.session);
+void RouterLink::on_set_bottleneck(const Packet& p, Hint& hint) {
+  SessionHandle h = table_.resolve(p.session, hint);
   if (!h.valid()) return;
   const Rate be = table_.be();
   if (table_.all_R_idle_at_be()) {
     // This link is itself a (stable) bottleneck: certify the path.
     Packet q = p;
     q.beta = true;
-    transport_.send_downstream(q, hop);
+    transport_.send_downstream(q, p.hop);
   } else if (table_.mu(h) == Mu::Idle && rate_lt(table_.lambda(h), be)) {
     // The session is restricted elsewhere: move it to Fe.  Idle sessions
     // pinned at the current Be gain headroom from the move, so re-probe
@@ -140,24 +141,24 @@ void RouterLink::on_set_bottleneck(const Packet& p, std::int32_t hop) {
     table_.idle_R_at(be, p.session, scratch_);
     kick_batch(scratch_);
     table_.move_to_F(h);
-    transport_.send_downstream(p, hop);
+    transport_.send_downstream(p, p.hop);
   } else if (table_.mu(h) == Mu::Idle && rate_eq(table_.lambda(h), be)) {
-    transport_.send_downstream(p, hop);
+    transport_.send_downstream(p, p.hop);
   }
   // Otherwise the packet is absorbed: the session is already marked for a
   // new probe cycle, which will re-establish its rate.
 }
 
-void RouterLink::on_leave(const Packet& p, std::int32_t hop) {
+void RouterLink::on_leave(const Packet& p, Hint& hint) {
   // R' is computed against Be *before* the departure; the departure can
   // only raise Be, so these sessions may deserve more bandwidth.  The
   // erase kills only the leaver's handle — the batch handles survive it
   // (they revalidate against the record map's epoch on next use).
-  SessionHandle h = table_.find(p.session);
+  SessionHandle h = table_.resolve(p.session, hint);
   table_.idle_R_at(table_.be(), p.session, scratch_);
   table_.erase(h);
   kick_batch(scratch_);
-  transport_.send_downstream(p, hop);
+  transport_.send_downstream(p, p.hop);
 }
 
 }  // namespace bneck::core

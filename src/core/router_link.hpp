@@ -8,7 +8,11 @@
 //
 // Dispatch contract (handle-oriented): each handler resolves the
 // packet's session in its link table exactly once —
-// LinkSessionTable::find() — and threads the resulting SessionHandle
+// LinkSessionTable::resolve() through the hint the session's route keeps
+// for this hop (router_plane.hpp), which skips the hash probe while the
+// table's record map has not moved a slot since the hint was taken, and
+// re-probes once (refreshing the hint) when it has; on_join inserts and
+// records the hint instead — and threads the resulting SessionHandle
 // through every predicate, mutation and helper (ProcessNewRestricted,
 // kick batches).  The set-valued table queries return handles too, so a
 // kick batch re-probes its victims without further hash lookups (after
@@ -75,15 +79,18 @@ class RouterLink {
     table_.restore(snap);
   }
 
-  // Packet handlers; `hop` is this link's hop index in p.session's path.
-  // Each resolves p.session to a handle once, up front.
-  void on_join(const Packet& p, std::int32_t hop);
-  void on_probe(const Packet& p, std::int32_t hop);
-  void on_response(const Packet& p, std::int32_t hop);
-  void on_update(const Packet& p, std::int32_t hop);
-  void on_bottleneck(const Packet& p, std::int32_t hop);
-  void on_set_bottleneck(const Packet& p, std::int32_t hop);
-  void on_leave(const Packet& p, std::int32_t hop);
+  using Hint = LinkSessionTable::Hint;
+
+  // Packet handlers; p.hop is this link's hop index in p.session's path
+  // and `hint` the session's cached record at this link.  Each resolves
+  // p.session to a handle once, up front, through the hint.
+  void on_join(const Packet& p, Hint& hint);
+  void on_probe(const Packet& p, Hint& hint);
+  void on_response(const Packet& p, Hint& hint);
+  void on_update(const Packet& p, Hint& hint);
+  void on_bottleneck(const Packet& p, Hint& hint);
+  void on_set_bottleneck(const Packet& p, Hint& hint);
+  void on_leave(const Packet& p, Hint& hint);
 
  private:
   /// Figure 2 lines 4-10: pull sessions whose recorded rate reached Be

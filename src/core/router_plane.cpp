@@ -9,6 +9,17 @@ RouterPlane::RouterPlane(const net::Network& net, Transport& transport,
       fault_single_kick_(fault_single_kick),
       slot_(static_cast<std::size_t>(net.link_count()), -1) {}
 
+void RouterPlane::build_route(const net::Network& net,
+                              std::span<const LinkId> path,
+                              std::vector<Hop>& out) {
+  LinkId up;
+  for (const LinkId e : path) {
+    out.push_back(Hop{e, up, {}});
+    up = net.link(e).reverse;
+  }
+  out.push_back(Hop{LinkId{}, up, {}});
+}
+
 RouterLink& RouterPlane::build(LinkId e) {
   slot_[static_cast<std::size_t>(e.value())] =
       static_cast<std::int32_t>(arena_.size());

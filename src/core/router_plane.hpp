@@ -6,10 +6,11 @@
 // It owns one RouterLink (paper Figure 2) per directed link that has
 // carried a session — built lazily in an address-stable slab and never
 // destroyed — and the stateless destination (Figure 4).  The caller
-// keeps the session registry and the source tasks: it resolves a
-// packet's session path, hands every hop it has not claimed for a source
-// task to deliver(), and implements the Transport the plane emits
-// through.
+// keeps the session registry and the source tasks: it builds each
+// session's route once at admission (build_route), hands every hop it
+// has not claimed for a source task to deliver() with that route, and
+// implements the Transport the plane emits through, reading the hop's
+// link ids from the same route.
 #pragma once
 
 #include <cstdint>
@@ -25,6 +26,27 @@ namespace bneck::core {
 
 class RouterPlane {
  public:
+  /// One hop of a session's route: entry h serves hop index h of the
+  /// session's link path (len + 1 entries; entry len is the
+  /// destination).  A session's path never changes, so the route is
+  /// resolved once, when the session is admitted.
+  struct Hop {
+    /// path[h]: the link whose RouterLink runs hop h, and where it sends
+    /// downstream.  Invalid at the destination entry.
+    LinkId down;
+    /// The reverse of path[h - 1]: where hop h sends upstream.  Invalid
+    /// at entry 0.
+    LinkId up;
+    /// The session's record in down's table, epoch-validated
+    /// (LinkSessionTable::resolve); filled and refreshed by the handlers.
+    LinkSessionTable::Hint hint;
+  };
+  static_assert(sizeof(Hop) <= 24, "a route hop is at most 24 bytes");
+
+  /// Appends the len + 1 hops of the route over `path` to `out`.
+  static void build_route(const net::Network& net,
+                          std::span<const LinkId> path, std::vector<Hop>& out);
+
   /// `fault_single_kick` arms BneckConfig::fault_single_kick's mutation
   /// in every RouterLink.
   RouterPlane(const net::Network& net, Transport& transport,
@@ -33,27 +55,45 @@ class RouterPlane {
   RouterPlane(const RouterPlane&) = delete;
   RouterPlane& operator=(const RouterPlane&) = delete;
 
-  /// Runs hop p.hop of the session whose link path is `path`: the
-  /// RouterLink at path[p.hop] below path.size() (hop 0 too in
-  /// shared-access mode), the destination at path.size().  Forced inline
-  /// so the per-packet path makes one call, into the RouterLink handler.
-  [[gnu::always_inline]] void deliver(const Packet& p,
-                                      std::span<const LinkId> path) {
-    const auto len = static_cast<std::int32_t>(path.size());
-    if (p.hop == len) {
-      destination(p, len);
+  /// Runs hop p.hop of the session whose route is `route`: the
+  /// RouterLink of route[p.hop].down (hop 0 too in shared-access mode),
+  /// or the destination at the entry without one.  Forced inline so the
+  /// per-packet path makes one call, into the RouterLink handler.
+  [[gnu::always_inline]] void deliver(const Packet& p, Hop* route) {
+    Hop& hop = route[p.hop];
+    if (!hop.down.valid()) {
+      destination(p);
       return;
     }
-    RouterLink& rl = link(path[static_cast<std::size_t>(p.hop)]);
+    RouterLink& rl = link(hop.down);
     switch (p.type) {
-      case PacketType::Join: rl.on_join(p, p.hop); return;
-      case PacketType::Probe: rl.on_probe(p, p.hop); return;
-      case PacketType::Response: rl.on_response(p, p.hop); return;
-      case PacketType::Update: rl.on_update(p, p.hop); return;
-      case PacketType::Bottleneck: rl.on_bottleneck(p, p.hop); return;
-      case PacketType::SetBottleneck: rl.on_set_bottleneck(p, p.hop); return;
-      case PacketType::Leave: rl.on_leave(p, p.hop); return;
+      case PacketType::Join: rl.on_join(p, hop.hint); return;
+      case PacketType::Probe: rl.on_probe(p, hop.hint); return;
+      case PacketType::Response: rl.on_response(p, hop.hint); return;
+      case PacketType::Update: rl.on_update(p, hop.hint); return;
+      case PacketType::Bottleneck: rl.on_bottleneck(p, hop.hint); return;
+      case PacketType::SetBottleneck:
+        rl.on_set_bottleneck(p, hop.hint);
+        return;
+      case PacketType::Leave: rl.on_leave(p, hop.hint); return;
     }
+  }
+
+  /// Look-ahead hint for a delivery a few events away: pulls the lines
+  /// of `hop`'s RouterLink and of the session's cached record toward
+  /// the cache.  Reads no record and builds no RouterLink, so it cannot
+  /// change what any handler does.
+  void prefetch(const Hop& hop) const {
+    if (!hop.down.valid()) return;
+    const std::int32_t slot =
+        slot_[static_cast<std::size_t>(hop.down.value())];
+    if (slot < 0) return;
+    const auto* rl = reinterpret_cast<const char*>(
+        &arena_[static_cast<std::size_t>(slot)]);
+    for (std::size_t off = 0; off < sizeof(RouterLink); off += 64) {
+      __builtin_prefetch(rl + off);
+    }
+    if (hop.hint.rec != nullptr) __builtin_prefetch(hop.hint.rec);
   }
 
   /// The RouterLink of directed link `e`, built on first use.
@@ -83,7 +123,7 @@ class RouterPlane {
   /// Figure 4: Join/Probe → Response; SetBottleneck that no link
   /// certified (β unset: the network changed on the way) → Update, so
   /// the source re-probes; Leave ends here.
-  void destination(const Packet& p, std::int32_t len) {
+  void destination(const Packet& p) {
     Packet r;
     r.session = p.session;
     switch (p.type) {
@@ -103,7 +143,7 @@ class RouterPlane {
       default:
         BNECK_EXPECT(false, "upstream packet at destination");
     }
-    transport_.send_upstream(r, len);
+    transport_.send_upstream(r, p.hop);
   }
 
   RouterLink& build(LinkId e);

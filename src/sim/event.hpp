@@ -32,12 +32,22 @@ namespace bneck::sim {
 
 using EventFn = std::function<void()>;
 
+/// How far ahead of the running event the simulator looks when it
+/// offers a pending delivery to its handler's prefetch hook
+/// (BasicSimulator::kFarAhead / kNearAhead events).  A handler uses the
+/// far stage to pull in what locates the delivery's state and the near
+/// stage to pull in the state itself.
+enum class Lookahead : unsigned char { kFar, kNear };
+
 /// Type-erased receiver of Delivery events.  Protocol objects outlive
 /// every event addressed to them (they own the Simulator's workload), so
 /// handlers are stored as plain pointers.
 class DeliveryHandler {
  public:
   virtual void on_delivery_bytes(const void* payload) = 0;
+  /// Cache hint for a delivery that fires a few events from now; must
+  /// not change any state a handler reads.
+  virtual void prefetch_bytes(const void* payload, Lookahead stage) = 0;
 
  protected:
   ~DeliveryHandler() = default;
@@ -45,15 +55,24 @@ class DeliveryHandler {
 
 /// Typed delivery receiver (CRTP): Derived implements
 /// on_delivery(const T&), which this base invokes directly from the one
-/// virtual hop — no second dispatch per event.  Declare the base a
-/// friend when on_delivery is private.  T must be trivially copyable and
-/// fit the inline event buffer.
+/// virtual hop — no second dispatch per event — and optionally
+/// prefetch(const T&, Lookahead) (without one, the hint is a no-op).
+/// Declare the base a friend when they are private.  T must be
+/// trivially copyable and fit the inline event buffer.
 template <class Derived, class T>
 class DeliveryHandlerOf : public DeliveryHandler {
  private:
   void on_delivery_bytes(const void* payload) final {
     static_cast<Derived*>(this)->on_delivery(
         *static_cast<const T*>(payload));
+  }
+  void prefetch_bytes(const void* payload, Lookahead stage) final {
+    if constexpr (requires(Derived& d, const T& t) {
+                    d.prefetch(t, Lookahead::kFar);
+                  }) {
+      static_cast<Derived*>(this)->prefetch(*static_cast<const T*>(payload),
+                                            stage);
+    }
   }
 };
 
@@ -105,6 +124,14 @@ class Event {
       delivery_.handler->on_delivery_bytes(delivery_.bytes);
     } else {
       fn_();
+    }
+  }
+
+  /// Offers a pending Delivery to its handler's prefetch hook; a
+  /// Callback has none.
+  void prefetch(Lookahead stage) const {
+    if (kind_ == Kind::Delivery) {
+      delivery_.handler->prefetch_bytes(delivery_.bytes, stage);
     }
   }
 

@@ -18,7 +18,7 @@
 //     interleaved same-binary comparison.
 //
 // The interface is the simulator's queue policy (see simulator.hpp):
-// push(t, seq, Event), pop(&t), min_time(), empty(), size().  The
+// push(t, seq, Event), pop(&t), peek(k), min_time(), empty(), size().  The
 // caller owns the sequence counter; the queue only orders by it.
 #pragma once
 
@@ -107,6 +107,13 @@ class HeapQueue {
   /// Timestamp of the earliest pending event; kTimeNever when empty.
   [[nodiscard]] TimeNs min_time() const {
     return keys_.empty() ? kTimeNever : keys_.front().t;
+  }
+
+  /// A look-ahead hint: heap slot k (k = 0 is the head), which is near
+  /// the top of the heap but not necessarily the k-th event to fire;
+  /// nullptr past the end.
+  [[nodiscard]] const Event* peek(std::size_t k) const {
+    return k < evs_.size() ? &evs_[k] : nullptr;
   }
 
   /// Visits every pending entry as fn(t, seq, const Event&), in

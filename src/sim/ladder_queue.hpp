@@ -191,6 +191,15 @@ class LadderQueue {
   [[nodiscard]] bool empty() const { return size_ == 0; }
   [[nodiscard]] std::size_t size() const { return size_; }
 
+  /// The event k places behind the head (k = 0 is the head) when it
+  /// already sits in bottom's sorted run, else nullptr.  A look-ahead
+  /// hint only: an insert before it fires may still land in front.
+  /// O(1) on a prepared queue.
+  [[nodiscard]] const Event* peek(std::size_t k) const {
+    const std::size_t i = bot_head_ + k;
+    return i < bottom_.size() ? &bottom_[i].ev : nullptr;
+  }
+
   /// Timestamp of the earliest pending event; kTimeNever when empty.
   /// O(1) on a prepared queue: bottom's head is the global min.
   [[nodiscard]] TimeNs min_time() const {

@@ -149,9 +149,19 @@ class BasicSimulator {
     }
   }
 
+  /// Pending deliveries this many events after the one about to fire
+  /// are offered to their handler's prefetch hook (sim/event.hpp) at
+  /// the far and near stage: a delivery is seen twice before it runs.
+  static constexpr std::size_t kFarAhead = 4;
+  static constexpr std::size_t kNearAhead = 2;
+
   /// Processes exactly one event if available; returns false when idle.
   bool step() {
     if (queue_.empty()) return false;
+    if (const Event* e = queue_.peek(kFarAhead)) e->prefetch(Lookahead::kFar);
+    if (const Event* e = queue_.peek(kNearAhead)) {
+      e->prefetch(Lookahead::kNear);
+    }
     TimeNs t;
     Event ev = queue_.pop(&t);
     now_ = t;

@@ -139,7 +139,7 @@ std::optional<Daemon::Reject> Daemon::ingress(const wire::Frame& f,
                     "session ids are single-use (no re-join)"};
     }
     SessionRec rec;
-    rec.path.links = f.path;
+    core::RouterPlane::build_route(net_, f.path, rec.route);
     rec.client = from;
     sessions_.emplace(p.session, std::move(rec));
     ++live_;
@@ -153,7 +153,7 @@ std::optional<Daemon::Reject> Daemon::ingress(const wire::Frame& f,
       return Reject{RejectReason::DepartedSession,
                     "packet for departed session"};
     }
-    const auto len = static_cast<std::int32_t>(it->second.path.links.size());
+    const auto len = static_cast<std::int32_t>(it->second.route.size()) - 1;
     if (p.hop < 1 || p.hop > len) {
       return Reject{RejectReason::BadHop, "hop outside session path"};
     }
@@ -221,21 +221,21 @@ void Daemon::on_packet(const Packet& p) {
   }
 }
 
-const net::Path& Daemon::path_of(SessionId s) const {
+std::vector<core::RouterPlane::Hop>& Daemon::route_of(SessionId s) {
   const auto it = sessions_.find(s);
   BNECK_EXPECT(it != sessions_.end(), "unknown session");
-  return it->second.path;
+  return it->second.route;
 }
 
 void Daemon::deliver(const Packet& p) {
-  const net::Path& path = path_of(p.session);
-  const auto len = static_cast<std::int32_t>(path.links.size());
+  std::vector<core::RouterPlane::Hop>& route = route_of(p.session);
+  const auto len = static_cast<std::int32_t>(route.size()) - 1;
   BNECK_EXPECT(p.hop >= 1 && p.hop <= len, "hop outside session path");
-  plane_.deliver(p, path.links);
+  plane_.deliver(p, route.data());
 }
 
 void Daemon::send_downstream(Packet p, std::int32_t from_hop) {
-  const auto len = static_cast<std::int32_t>(path_of(p.session).links.size());
+  const auto len = static_cast<std::int32_t>(route_of(p.session).size()) - 1;
   BNECK_EXPECT(core::is_downstream(p.type), "upstream packet sent downstream");
   BNECK_EXPECT(from_hop >= 1 && from_hop < len, "bad downstream hop");
   p.hop = from_hop + 1;
@@ -243,15 +243,15 @@ void Daemon::send_downstream(Packet p, std::int32_t from_hop) {
 }
 
 void Daemon::send_upstream(Packet p, std::int32_t from_hop) {
-  const net::Path& path = path_of(p.session);
-  const auto len = static_cast<std::int32_t>(path.links.size());
+  const std::vector<core::RouterPlane::Hop>& route = route_of(p.session);
+  const auto len = static_cast<std::int32_t>(route.size()) - 1;
   BNECK_EXPECT(!core::is_downstream(p.type), "downstream packet sent upstream");
   BNECK_EXPECT(from_hop >= 1 && from_hop <= len, "bad upstream hop");
   p.hop = from_hop - 1;
   if (p.hop == 0) {
     // Crossing to the source task: out over the socket, addressed by
-    // the session registry (reverse of the access link).
-    transport_.send(net_.link(path.links.front()).reverse, p);
+    // the session registry (the route's reverse of the access link).
+    transport_.send(route[1].up, p);
     return;
   }
   transport_.local(p);

@@ -118,7 +118,9 @@ class Daemon final : public core::Transport, public TransportSink {
 
  private:
   struct SessionRec {
-    net::Path path;
+    // Built from the Join's path at admission (core::RouterPlane::
+    // build_route): path length + 1 hops, the last the destination.
+    std::vector<core::RouterPlane::Hop> route;
     Endpoint client;
     bool live = true;
   };
@@ -137,7 +139,8 @@ class Daemon final : public core::Transport, public TransportSink {
   /// Validates and admits one peer packet; returns nullopt on success.
   std::optional<Reject> ingress(const wire::Frame& f, const Endpoint& from);
   void count_reject(const Reject& r);
-  const net::Path& path_of(SessionId s) const;  // of a registered session
+  // The route of a registered session.
+  std::vector<core::RouterPlane::Hop>& route_of(SessionId s);
   void deliver(const core::Packet& p);
   /// Reaps the sessions of clients silent past session_expiry.
   void sweep_liveness(TimeNs t);

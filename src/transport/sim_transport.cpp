@@ -24,6 +24,11 @@ SimTransport::SimTransport(sim::Simulator& sim, const net::Network& net,
                "loss probability must be in [0,1)");
   BNECK_EXPECT(route_.partition == nullptr || lossless(),
                "sharded engine requires the loss-free wire");
+  timing_.reserve(channels_.size());
+  for (std::int32_t e = 0; e < net.link_count(); ++e) {
+    const net::Link& l = net.link(LinkId{e});
+    timing_.push_back(LinkTiming{cfg_.control_tx_time(l), l.prop_delay});
+  }
 }
 
 SimArqLink::SimArqLink(sim::Simulator& sim, TransportSink& sink,
@@ -106,17 +111,16 @@ void SimArqLink::on_timer(std::uint64_t generation) {
 SimArqLink& SimTransport::arq_link_at(LinkId physical) {
   std::int32_t& slot = arq_slot_[static_cast<std::size_t>(physical.value())];
   if (slot < 0) {
-    const net::Link& l = net_.link(physical);
-    const net::Link& rev = net_.link(l.reverse);
-    const TimeNs data_tx = tx_time(l);
-    const TimeNs ack_tx = tx_time(rev);
+    const LinkId reverse = net_.link(physical).reverse;
+    const LinkTiming& data = timing(physical);
+    const LinkTiming& ack = timing(reverse);
     slot = static_cast<std::int32_t>(arq_arena_.size());
     arq_arena_.emplace_back(
         sim_, sink_, physical,
         channels_[static_cast<std::size_t>(physical.value())],
-        channels_[static_cast<std::size_t>(l.reverse.value())], data_tx,
-        l.prop_delay, ack_tx, rev.prop_delay,
-        SimArqLink::config(data_tx + l.prop_delay + ack_tx + rev.prop_delay),
+        channels_[static_cast<std::size_t>(reverse.value())], data.tx,
+        data.prop, ack.tx, ack.prop,
+        SimArqLink::config(data.tx + data.prop + ack.tx + ack.prop),
         cfg_.loss_probability, loss_rng_.fork());
   }
   return arq_arena_[static_cast<std::size_t>(slot)];
@@ -135,14 +139,15 @@ void SimTransport::send(LinkId physical, const core::Packet& p) {
     arq_link_at(physical).send(p);
     return;
   }
-  const net::Link& l = net_.link(physical);
+  const LinkTiming& lt = timing(physical);
   const TimeNs arrival = channels_[static_cast<std::size_t>(physical.value())]
-                             .transmit(sim_.now(), tx_time(l), l.prop_delay);
+                             .transmit(sim_.now(), lt.tx, lt.prop);
   sink_.on_wire(p, physical);
   if (cfg_.loss_probability > 0 && loss_rng_.chance(cfg_.loss_probability)) {
     return;  // the paper's reliability assumption, violated on purpose
   }
   if (route_.partition != nullptr) {
+    const net::Link& l = net_.link(physical);
     const std::int32_t dst_shard = route_.partition->shard_of(l.dst);
     BNECK_EXPECT(route_.partition->shard_of(l.src) == route_.shard,
                  "send from a link not owned by this shard");

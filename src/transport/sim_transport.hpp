@@ -214,6 +214,18 @@ class SimTransport final
     }
   }
 
+  /// Store-and-forward timing of one directed link: the control-packet
+  /// transmission time (WireConfig::control_tx_time) and the
+  /// propagation delay.
+  struct LinkTiming {
+    TimeNs tx;
+    TimeNs prop;
+  };
+  /// `physical`'s timing, computed once at construction.
+  [[nodiscard]] const LinkTiming& timing(LinkId physical) const {
+    return timing_[static_cast<std::size_t>(physical.value())];
+  }
+
   /// True when this backend runs the paper's reliable loss-free wire —
   /// the only configuration the model checker can snapshot (go-back-N
   /// state is not captured).
@@ -223,10 +235,10 @@ class SimTransport final
 
  private:
   SimArqLink& arq_link_at(LinkId physical);
-  [[nodiscard]] TimeNs tx_time(const net::Link& l) const {
-    return cfg_.control_tx_time(l);
-  }
   void on_delivery(const core::Packet& p) { sink_.on_packet(p); }
+  void prefetch(const core::Packet& p, sim::Lookahead stage) {
+    sink_.prefetch(p, stage);
+  }
 
   sim::Simulator& sim_;
   const net::Network& net_;
@@ -234,6 +246,7 @@ class SimTransport final
   WireConfig cfg_;
   ShardRoute route_;
 
+  std::vector<LinkTiming> timing_;          // per directed link
   std::vector<sim::FifoChannel> channels_;  // per directed link
   // SimArqLink objects live in a stable-address slab arena, constructed
   // lazily in first-use order; a per-directed-link slot vector maps

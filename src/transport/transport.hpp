@@ -25,6 +25,7 @@
 
 #include "base/ids.hpp"
 #include "core/packet.hpp"
+#include "sim/event.hpp"
 
 namespace bneck::transport {
 
@@ -41,6 +42,11 @@ class TransportSink {
   /// `p` arrived at the far end of its link (or completed a local
   /// handoff); p.hop addresses the receiving task.
   virtual void on_packet(const core::Packet& p) = 0;
+
+  /// `p` will arrive a few simulator events from now (SimTransport
+  /// forwards the simulator's look-ahead, sim/event.hpp): a cache hint
+  /// that must not change state.  No-op unless overridden.
+  virtual void prefetch(const core::Packet& /*p*/, sim::Lookahead /*stage*/) {}
 };
 
 }  // namespace bneck::transport

@@ -26,6 +26,7 @@
 #include "net/routing.hpp"
 #include "sim/simulator.hpp"
 #include "topo/canonical.hpp"
+#include "topo/transit_stub.hpp"
 
 namespace bneck::core {
 namespace {
@@ -557,6 +558,33 @@ TEST(TransportEquiv, LossyArqGoldenTrace) {
   cfg.wire.reliable_links = true;
   cfg.wire.loss_probability = 0.2;
   EXPECT_EQ(run_trace(cfg, drive_unweighted), kGoldenLossyArqTrace);
+}
+
+// SimTransport times every send from a per-link table built at
+// construction; WireConfig::control_tx_time stays the one definition
+// (src/check/ derives its bounds from it), so the table must agree with
+// it on every link, with transmission modelled or not.
+TEST(TransportEquiv, CachedLinkTimingMatchesControlTxTime) {
+  struct NullSink final : transport::TransportSink {
+    void on_wire(const Packet&, LinkId) override {}
+    void on_packet(const Packet&) override {}
+  };
+  auto params = topo::small_params();
+  Rng rng(2024);
+  const auto n = topo::make_transit_stub(params, rng);
+  for (const bool model_transmission : {true, false}) {
+    transport::WireConfig cfg;
+    cfg.model_transmission = model_transmission;
+    sim::Simulator sim;
+    NullSink sink;
+    const transport::SimTransport wire(sim, n, sink, cfg);
+    for (std::int32_t e = 0; e < n.link_count(); ++e) {
+      const net::Link& l = n.link(LinkId{e});
+      EXPECT_EQ(wire.timing(LinkId{e}).tx, cfg.control_tx_time(l))
+          << "link " << e << " model_transmission " << model_transmission;
+      EXPECT_EQ(wire.timing(LinkId{e}).prop, l.prop_delay) << "link " << e;
+    }
+  }
 }
 
 }  // namespace
