@@ -109,6 +109,52 @@ BENCHMARK_TEMPLATE(BM_EventQueueMixed, sim::HeapSimulator)
     ->Name("BM_EventQueueMixedHeap")
     ->Arg(100000);
 
+// A same-instant burst behind one straggler, then a spread schedule (a
+// descending run and a cluster between far outliers), drained through
+// one long-lived queue.  "retained_bytes" is the memory the queue still
+// holds afterwards: the ladder keeps at most kBottomThreshold spent
+// keys per drained buffer, the heap keeps its high-water arrays.
+template <class Queue>
+void BM_EventQueueBurstDrain(benchmark::State& state) {
+  const auto n = static_cast<std::int64_t>(state.range(0));
+  Queue q;
+  PacketCounter counter;
+  core::Packet p;
+  std::uint64_t seq = 0;
+  TimeNs base = 0;
+  const auto push = [&](TimeNs t) {
+    p.hop = static_cast<std::int32_t>(seq);
+    q.push(base + t, seq++, sim::Event(counter, p));
+  };
+  const auto drain = [&] {
+    TimeNs t = 0;
+    while (!q.empty()) {
+      q.pop(&t).fire();
+      q.prepare();
+    }
+    base = t + 1;
+  };
+  for (auto _ : state) {
+    push(0);
+    for (std::int64_t i = 0; i < n; ++i) push(1000);
+    drain();
+    for (TimeNs t = 4000; t > 3800; --t) push(t);
+    for (std::int64_t i = 0; i < n; ++i) push(10'000 + (i * 7919) % 1000);
+    for (TimeNs t = 0; t < 4; ++t) push(1'000'000 + t);
+    drain();
+  }
+  benchmark::DoNotOptimize(counter.sum);
+  state.SetItemsProcessed(state.iterations() * (2 * n + 205));
+  state.counters["retained_bytes"] =
+      static_cast<double>(q.retained_bytes());
+}
+BENCHMARK_TEMPLATE(BM_EventQueueBurstDrain, sim::LadderQueue)
+    ->Name("BM_EventQueueBurstDrain")
+    ->Arg(50000);
+BENCHMARK_TEMPLATE(BM_EventQueueBurstDrain, sim::HeapQueue)
+    ->Name("BM_EventQueueBurstDrainHeap")
+    ->Arg(50000);
+
 void BM_FifoChannelTransmit(benchmark::State& state) {
   sim::FifoChannel ch;
   TimeNs now = 0;

@@ -133,6 +133,11 @@ class HeapQueue {
     evs_.clear();
   }
 
+  /// Bytes the queue has allocated now: the key and event arrays.
+  [[nodiscard]] std::size_t retained_bytes() const {
+    return keys_.capacity() * sizeof(Key) + evs_.capacity() * sizeof(Event);
+  }
+
  private:
   struct Key {
     TimeNs t;

@@ -32,6 +32,22 @@
 //            coverage.  When bottom and all rungs drain, top is swept
 //            into a fresh rung 0 sized to its [min, max] span.
 //
+// Storage: bottom, rungs and top hold 24-byte sort keys {t, seq, slot};
+// the Events themselves live in one slab owned by the queue, indexed by
+// slot.  Spawns, spills, top sweeps and bottom sorts therefore move 24
+// bytes per entry, never the 56-byte Event.  Freed slots are reused
+// last-in first-out, so the slot a pop frees is the one its handler's
+// sends refill, and the slab never holds more slots than the most
+// events ever pending at once.
+//
+// Capacity bound: the key buffers hold what is pending, plus at most
+// kBottomThreshold spent keys per drained buffer.  Whenever bottom,
+// a bucket or top drains — bottom's last pop, a spill, a bucket's swap
+// into bottom, a spawn, a top sweep — a buffer larger than that is
+// released instead of kept, so no bucket keeps the buffer of the
+// largest burst that ever passed through it.  Smaller buffers are kept:
+// freeing every drained buffer costs more in malloc churn than it saves.
+//
 // Determinism: buckets partition disjoint time ranges, bottom always
 // holds the earliest remaining range, in-bucket order is established by
 // an explicit (time, seq) sort (or inherited from insertion order when
@@ -51,8 +67,8 @@
 //     or just after its own instant lands in the (empty) bottom or a
 //     rung bucket by arithmetic instead of splicing in front of an
 //     already-materialized run;
-//   * a splice that would shift more than kBottomThreshold entries
-//     (bulk scheduling in arbitrary time order — e.g. a driver starting
+//   * a splice that would shift more than kSpliceDepth entries (bulk
+//     scheduling in arbitrary time order — e.g. a driver starting
 //     hundreds of sessions between run_until() phases — turning bottom
 //     into a de-facto sorted working set) instead spills bottom's
 //     pending run into a fresh finest rung, so later inserts in that
@@ -61,14 +77,13 @@
 //
 // min_time() is O(1) on a prepared queue — the head of the front run
 // (or of bottom) is the global minimum.  The checker driver
-// (src/check/runner.cpp) and the future per-shard horizon barriers
-// (ROADMAP item 1) lean on this being cheap.
+// (src/check/runner.cpp) and the sharded engine's horizon barriers
+// (sim/sharded.hpp) lean on this being cheap.
 #pragma once
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <cstdio>
 #include <vector>
 
 #include "base/expect.hpp"
@@ -76,19 +91,6 @@
 #include "sim/event.hpp"
 
 namespace bneck::sim {
-
-#ifdef BNECK_LADDER_STATS
-struct LadderStats {
-  unsigned long long pops = 0, pushes = 0, refills = 0, spawns = 0,
-                     spawn_entries = 0, demotes = 0, demote_entries = 0,
-                     splices = 0, splice_moved = 0, sorted_entries = 0,
-                     batch_entries = 0, bucket_scans = 0, rung_inserts = 0,
-                     top_inserts = 0, bottom_runs = 0, run_len_sum = 0,
-                     spills = 0, spill_entries = 0;
-  ~LadderStats();
-};
-inline LadderStats g_ladder_stats;
-#endif
 
 class LadderQueue {
  public:
@@ -99,7 +101,8 @@ class LadderQueue {
   /// A mixed-timestamp bucket at most this large is sorted straight
   /// into bottom; larger ones spawn a finer rung instead.  Sized so the
   /// one-off sort is cheap while bottom runs stay long enough to
-  /// amortize refill bookkeeping.
+  /// amortize refill bookkeeping.  Also the most spent capacity a
+  /// drained key buffer keeps.
   static constexpr std::size_t kBottomThreshold = 512;
   /// A splice into bottom may shift at most this many entries; deeper
   /// inserts spill bottom's pending run into a finer rung instead
@@ -107,43 +110,51 @@ class LadderQueue {
   static constexpr std::size_t kSpliceDepth = 64;
   static constexpr std::size_t kMaxRungs = 8;
 
+  /// Work counters since construction.  What the queue does is a pure
+  /// function of the (time, seq) schedule pushed into it, so for a fixed
+  /// schedule every count is exact and identical from run to run.
+  struct Stats {
+    std::uint64_t pushes = 0;
+    std::uint64_t pops = 0;
+    std::uint64_t refills = 0;         // bottom runs established
+    std::uint64_t spawn_entries = 0;   // re-bucketed into a finer rung
+    std::uint64_t spill_entries = 0;   // spilled from bottom into a rung
+    std::uint64_t top_entries = 0;     // swept from top into rung 0
+    std::uint64_t sorted_entries = 0;  // entered bottom through a sort
+    std::uint64_t batch_entries = 0;   // entered bottom verbatim
+    std::uint64_t splices = 0;         // inserts into bottom's run
+    std::uint64_t splice_shifted = 0;  // entries those inserts shifted
+    std::uint64_t peak_pending = 0;    // most events pending at once
+    std::uint64_t key_capacity = 0;    // keys the buffers hold room for now
+    bool operator==(const Stats&) const = default;
+  };
+
   void push(TimeNs t, std::uint64_t seq, Event&& ev) {
-    if (size_ == 0) {
+    ++stats_.pushes;
+    const Key k{t, seq, store(std::move(ev))};
+    if (size_++ == 0) {
       // Fresh queue: this event IS bottom, and its timestamp anchors
       // the bottom coverage window.
-      size_ = 1;
-      bottom_.emplace_back(t, seq, std::move(ev));
+      bottom_.push_back(k);
       bot_limit_ = t + 1;
       return;
     }
-    ++size_;
     if (t < bot_limit_) {
-      bottom_insert(t, seq, std::move(ev));
+      bottom_insert(k);
       return;
     }
-#ifdef BNECK_LADDER_STATS
-    ++g_ladder_stats.pushes;
-#endif
     // Finest rung first: a finer rung's coverage is carved out of its
     // parent's current bucket, so the first rung (from the inside out)
     // whose end exceeds t is the one that owns t's range.
     for (std::size_t i = nrungs_; i-- > 0;) {
       Rung& r = rungs_[i];
       if (t < r.end) {
-        const std::size_t idx =
-            static_cast<std::size_t>((t - r.start) / r.width);
-        r.buckets[idx].emplace_back(t, seq, std::move(ev));
+        r.buckets[r.bucket_of(t)].push_back(k);
         ++r.count;
-#ifdef BNECK_LADDER_STATS
-        ++g_ladder_stats.rung_inserts;
-#endif
         return;
       }
     }
-#ifdef BNECK_LADDER_STATS
-    ++g_ladder_stats.top_inserts;
-#endif
-    top_.emplace_back(t, seq, std::move(ev));
+    top_.push_back(k);
     if (t < top_min_) top_min_ = t;
     if (t > top_max_) top_max_ = t;
   }
@@ -151,16 +162,15 @@ class LadderQueue {
   /// Removes and returns the earliest event; *t_out receives its
   /// timestamp.  Requires !empty() and a prepared queue (see prepare()).
   Event pop(TimeNs* t_out) {
-#ifdef BNECK_LADDER_STATS
-    ++g_ladder_stats.pops;
-#endif
-    Entry& e = bottom_[bot_head_];
-    *t_out = e.t;
-    Event ev = std::move(e.ev);
+    ++stats_.pops;
+    const Key k = bottom_[bot_head_];
+    *t_out = k.t;
+    Event ev = std::move(slab_[k.slot]);
+    free_.push_back(k.slot);
     ++bot_head_;
     --size_;
     if (bot_head_ == bottom_.size()) {
-      bottom_.clear();
+      release_spent(bottom_);
       bot_head_ = 0;
       // Refill is deferred to prepare(): the event just popped is about
       // to fire, and anything it schedules "soon" (at or just after its
@@ -197,7 +207,7 @@ class LadderQueue {
   /// O(1) on a prepared queue.
   [[nodiscard]] const Event* peek(std::size_t k) const {
     const std::size_t i = bot_head_ + k;
-    return i < bottom_.size() ? &bottom_[i].ev : nullptr;
+    return i < bottom_.size() ? &slab_[bottom_[i].slot] : nullptr;
   }
 
   /// Timestamp of the earliest pending event; kTimeNever when empty.
@@ -212,27 +222,30 @@ class LadderQueue {
   /// (time, seq) order sort the result.
   template <class Fn>
   void for_each(Fn&& fn) const {
+    const auto visit = [&](const Key& k) { fn(k.t, k.seq, slab_[k.slot]); };
     for (std::size_t i = bot_head_; i < bottom_.size(); ++i) {
-      fn(bottom_[i].t, bottom_[i].seq, bottom_[i].ev);
+      visit(bottom_[i]);
     }
     for (std::size_t r = 0; r < nrungs_; ++r) {
-      for (const std::vector<Entry>& bucket : rungs_[r].buckets) {
-        for (const Entry& e : bucket) fn(e.t, e.seq, e.ev);
+      for (const std::vector<Key>& bucket : rungs_[r].buckets) {
+        for (const Key& k : bucket) visit(k);
       }
     }
-    for (const Entry& e : top_) fn(e.t, e.seq, e.ev);
+    for (const Key& k : top_) visit(k);
   }
 
   /// Discards every pending entry and resets the ladder to its
   /// freshly-constructed state (restore hook — the caller re-pushes a
   /// snapshot afterwards, in (time, seq) order so in-bucket insertion
-  /// order keeps matching the determinism contract).
+  /// order keeps matching the determinism contract).  The slab and the
+  /// key buffers keep their bounded capacity for the re-push; the work
+  /// counters keep counting.
   void clear() {
-    bottom_.clear();
+    release_spent(bottom_);
     bot_head_ = 0;
     bot_limit_ = 0;
     for (Rung& r : rungs_) {
-      for (std::vector<Entry>& bucket : r.buckets) bucket.clear();
+      for (std::vector<Key>& bucket : r.buckets) release_spent(bucket);
       r.start = 0;
       r.width = 1;
       r.end = 0;
@@ -240,22 +253,42 @@ class LadderQueue {
       r.count = 0;
     }
     nrungs_ = 0;
-    top_.clear();
+    release_spent(top_);
     top_min_ = kTimeNever;
     top_max_ = -1;
     size_ = 0;
+    slab_.clear();
+    free_.clear();
+  }
+
+  /// The work counters, with key_capacity as of now.
+  [[nodiscard]] Stats stats() const {
+    Stats s = stats_;
+    std::size_t keys = bottom_.capacity() + top_.capacity();
+    for (const Rung& r : rungs_) {
+      for (const std::vector<Key>& bucket : r.buckets) {
+        keys += bucket.capacity();
+      }
+    }
+    s.key_capacity = keys;
+    return s;
+  }
+
+  /// Bytes the queue has allocated now: key buffers, event slab and its
+  /// free-slot stack.
+  [[nodiscard]] std::size_t retained_bytes() const {
+    return stats().key_capacity * sizeof(Key) +
+           slab_.capacity() * sizeof(Event) +
+           free_.capacity() * sizeof(std::uint32_t);
   }
 
  private:
-  struct Entry {
+  struct Key {
     TimeNs t;
     std::uint64_t seq;
-    Event ev;
-    Entry(TimeNs t_, std::uint64_t seq_, Event&& ev_)
-        : t(t_), seq(seq_), ev(std::move(ev_)) {}
-    Entry(Entry&&) noexcept = default;
-    Entry& operator=(Entry&&) noexcept = default;
+    std::uint32_t slot;  // index into slab_
   };
+  static_assert(sizeof(Key) == 24);
 
   struct Rung {
     TimeNs start = 0;  // time of bucket 0
@@ -263,43 +296,69 @@ class LadderQueue {
     TimeNs end = 0;    // coverage end (clamped to the range demoted here)
     std::size_t cur = 0;    // next bucket to drain
     std::size_t count = 0;  // entries remaining across buckets
-    std::array<std::vector<Entry>, kBuckets> buckets;
+    std::array<std::vector<Key>, kBuckets> buckets;
+
+    [[nodiscard]] std::size_t bucket_of(TimeNs t) const {
+      return static_cast<std::size_t>((t - start) / width);
+    }
   };
 
-  static bool entry_before(const Entry& a, const Entry& b) {
+  static bool key_before(const Key& a, const Key& b) {
     return a.t != b.t ? a.t < b.t : a.seq < b.seq;
   }
 
-  /// Inserts an event whose time falls inside bottom's coverage.  seq is
+  /// Empties a drained key buffer, releasing it when it holds room for
+  /// more than kBottomThreshold keys: the capacity bound.
+  static void release_spent(std::vector<Key>& v) {
+    if (v.capacity() > kBottomThreshold) {
+      std::vector<Key>().swap(v);
+    } else {
+      v.clear();
+    }
+  }
+
+  /// Moves an event into a free slab slot (the most recently freed
+  /// one) and returns its index.
+  std::uint32_t store(Event&& ev) {
+    if (!free_.empty()) {
+      const std::uint32_t slot = free_.back();
+      free_.pop_back();
+      slab_[slot] = std::move(ev);
+      return slot;
+    }
+    BNECK_EXPECT(slab_.size() < UINT32_MAX, "ladder event slab full");
+    slab_.push_back(std::move(ev));
+    // Every slot is live, so the slab's size is the pending count.
+    stats_.peak_pending = std::max<std::uint64_t>(stats_.peak_pending,
+                                                  slab_.size());
+    return static_cast<std::uint32_t>(slab_.size() - 1);
+  }
+
+  /// Inserts a key whose time falls inside bottom's coverage.  seq is
   /// the largest in the queue, so its (time, seq) slot is after every
   /// entry with timestamp <= t — for the common schedule-during-fire
   /// case (t at or near the instant being drained, bottom holding one
   /// same-timestamp run) that is the tail, and the splice is a plain
-  /// append.  A deep splice — more than kBottomThreshold entries to
-  /// shift — means bottom has become a de-facto sorted working set
-  /// (bulk scheduling in arbitrary time order, e.g. a driver starting
-  /// hundreds of sessions between run_until() phases); repeated sorted
-  /// inserts there are quadratic, so past kSpliceDepth the pending run
-  /// and the newcomer spill into a fresh finest rung covering
-  /// [min(t, head), bot_limit_): later inserts in that range then land
-  /// in buckets by O(1) arithmetic, and sorting happens once per bucket
-  /// when it is about to fire.
-  void bottom_insert(TimeNs t, std::uint64_t seq, Event&& ev) {
+  /// append.  A deep splice means bottom has become a de-facto sorted
+  /// working set (bulk scheduling in arbitrary time order, e.g. a
+  /// driver starting hundreds of sessions between run_until() phases);
+  /// repeated sorted inserts there are quadratic, so past kSpliceDepth
+  /// the pending run and the newcomer spill into a fresh finest rung
+  /// covering [min(t, head), bot_limit_): later inserts in that range
+  /// then land in buckets by O(1) arithmetic, and sorting happens once
+  /// per bucket when it is about to fire.
+  void bottom_insert(const Key& k) {
     const auto it = std::upper_bound(
         bottom_.begin() + static_cast<std::ptrdiff_t>(bot_head_),
-        bottom_.end(), t,
-        [](TimeNs x, const Entry& e) { return x < e.t; });
-    if (static_cast<std::size_t>(bottom_.end() - it) > kSpliceDepth &&
-        nrungs_ < kMaxRungs) {
-      spill_bottom(t, seq, std::move(ev));
+        bottom_.end(), k.t, [](TimeNs x, const Key& e) { return x < e.t; });
+    const auto shifted = static_cast<std::size_t>(bottom_.end() - it);
+    if (shifted > kSpliceDepth && nrungs_ < kMaxRungs) {
+      spill_bottom(k);
       return;
     }
-#ifdef BNECK_LADDER_STATS
-    ++g_ladder_stats.splices;
-    g_ladder_stats.splice_moved +=
-        static_cast<unsigned long long>(bottom_.end() - it);
-#endif
-    bottom_.emplace(it, t, seq, std::move(ev));
+    ++stats_.splices;
+    stats_.splice_shifted += shifted;
+    bottom_.insert(it, k);
   }
 
   /// Demotes bottom's pending entries plus one newcomer into a fresh
@@ -310,13 +369,10 @@ class LadderQueue {
   /// order for equal timestamps (bottom was sorted; the newcomer's seq
   /// is the global max and lands last), preserving the batch-drain
   /// contract.
-  void spill_bottom(TimeNs t, std::uint64_t seq, Event&& ev) {
-#ifdef BNECK_LADDER_STATS
-    ++g_ladder_stats.spills;
-    g_ladder_stats.spill_entries += bottom_.size() - bot_head_ + 1;
-#endif
+  void spill_bottom(const Key& k) {
+    stats_.spill_entries += bottom_.size() - bot_head_ + 1;
     Rung& c = rungs_[nrungs_++];
-    c.start = std::min(t, bottom_[bot_head_].t);
+    c.start = std::min(k.t, bottom_[bot_head_].t);
     const TimeNs span = bot_limit_ - c.start;
     c.width = (span + static_cast<TimeNs>(kBuckets) - 1) /
               static_cast<TimeNs>(kBuckets);
@@ -324,13 +380,10 @@ class LadderQueue {
     c.cur = 0;
     c.count = bottom_.size() - bot_head_ + 1;
     for (std::size_t i = bot_head_; i < bottom_.size(); ++i) {
-      Entry& e = bottom_[i];
-      c.buckets[static_cast<std::size_t>((e.t - c.start) / c.width)]
-          .push_back(std::move(e));
+      c.buckets[c.bucket_of(bottom_[i].t)].push_back(bottom_[i]);
     }
-    c.buckets[static_cast<std::size_t>((t - c.start) / c.width)]
-        .emplace_back(t, seq, std::move(ev));
-    bottom_.clear();
+    c.buckets[c.bucket_of(k.t)].push_back(k);
+    release_spent(bottom_);
     bot_head_ = 0;
     refill_bottom();
   }
@@ -340,9 +393,7 @@ class LadderQueue {
   /// demoting oversized mixed buckets into finer rungs, and sweeping
   /// top into a fresh rung 0 when every rung has drained.
   void refill_bottom() {
-#ifdef BNECK_LADDER_STATS
-    ++g_ladder_stats.refills;
-#endif
+    ++stats_.refills;
     for (;;) {
       if (nrungs_ == 0) {
         demote_top();
@@ -355,12 +406,9 @@ class LadderQueue {
       }
       while (r.buckets[r.cur].empty()) {
         ++r.cur;
-#ifdef BNECK_LADDER_STATS
-        ++g_ladder_stats.bucket_scans;
-#endif
         BNECK_EXPECT(r.cur < kBuckets, "ladder rung count desynchronized");
       }
-      std::vector<Entry>& bucket = r.buckets[r.cur];
+      std::vector<Key>& bucket = r.buckets[r.cur];
       const TimeNs bucket_start = r.start + static_cast<TimeNs>(r.cur) * r.width;
       const TimeNs bucket_end = std::min(bucket_start + r.width, r.end);
 
@@ -368,8 +416,8 @@ class LadderQueue {
       // order (appended in insertion order), so the whole run moves to
       // bottom with zero comparisons and fires back to back.
       bool all_equal = true;
-      for (const Entry& e : bucket) {
-        if (e.t != bucket[0].t) {
+      for (const Key& k : bucket) {
+        if (k.t != bucket[0].t) {
           all_equal = false;
           break;
         }
@@ -389,26 +437,22 @@ class LadderQueue {
         // bottom's last timestamp, and a same-instant insert appends at
         // the tail for free.
         r.count -= bucket.size();
-        bottom_.swap(bucket);  // bucket inherits bottom's spent capacity
-        if (!all_equal) {
-          std::sort(bottom_.begin(), bottom_.end(), entry_before);
+        // The bucket inherits bottom's spent buffer, which the drain
+        // that emptied bottom already cut to the capacity bound.
+        bottom_.swap(bucket);
+        if (all_equal) {
+          stats_.batch_entries += bottom_.size();
+        } else {
+          std::sort(bottom_.begin(), bottom_.end(), key_before);
+          stats_.sorted_entries += bottom_.size();
         }
-#ifdef BNECK_LADDER_STATS
-        ++g_ladder_stats.bottom_runs;
-        g_ladder_stats.run_len_sum += bottom_.size();
-        (all_equal ? g_ladder_stats.batch_entries
-                   : g_ladder_stats.sorted_entries) += bottom_.size();
-#endif
         bot_limit_ = bottom_.back().t + 1;
         return;
       }
 
       // Lazy demotion: spread the oversized bucket across a finer rung
       // covering exactly this bucket's range, and keep draining there.
-#ifdef BNECK_LADDER_STATS
-      ++g_ladder_stats.spawns;
-      g_ladder_stats.spawn_entries += bucket.size();
-#endif
+      stats_.spawn_entries += bucket.size();
       Rung& c = rungs_[nrungs_++];
       c.start = bucket_start;
       c.width = (r.width + static_cast<TimeNs>(kBuckets) - 1) /
@@ -416,22 +460,16 @@ class LadderQueue {
       c.end = bucket_end;
       c.cur = 0;
       c.count = bucket.size();
-      for (Entry& e : bucket) {
-        c.buckets[static_cast<std::size_t>((e.t - c.start) / c.width)]
-            .push_back(std::move(e));
-      }
+      for (const Key& k : bucket) c.buckets[c.bucket_of(k.t)].push_back(k);
       r.count -= bucket.size();
-      bucket.clear();  // parent's scan must see this bucket empty
+      release_spent(bucket);  // parent's scan must see this bucket empty
     }
   }
 
   /// Sweeps top into a fresh rung 0 sized to its [min, max] span.
   void demote_top() {
-#ifdef BNECK_LADDER_STATS
-    ++g_ladder_stats.demotes;
-    g_ladder_stats.demote_entries += top_.size();
-#endif
     BNECK_EXPECT(!top_.empty(), "ladder refill with nothing pending");
+    stats_.top_entries += top_.size();
     Rung& r = rungs_[0];
     nrungs_ = 1;
     r.start = top_min_;
@@ -441,16 +479,13 @@ class LadderQueue {
     r.end = r.start + r.width * static_cast<TimeNs>(kBuckets);
     r.cur = 0;
     r.count = top_.size();
-    for (Entry& e : top_) {
-      r.buckets[static_cast<std::size_t>((e.t - r.start) / r.width)]
-          .push_back(std::move(e));
-    }
-    top_.clear();
+    for (const Key& k : top_) r.buckets[r.bucket_of(k.t)].push_back(k);
+    release_spent(top_);
     top_min_ = kTimeNever;
     top_max_ = -1;
   }
 
-  std::vector<Entry> bottom_;
+  std::vector<Key> bottom_;
   std::size_t bot_head_ = 0;
   /// Bottom owns the time range below this; every pending event at a
   /// time < bot_limit_ lives in (and every such insert splices into)
@@ -460,29 +495,18 @@ class LadderQueue {
   std::array<Rung, kMaxRungs> rungs_;
   std::size_t nrungs_ = 0;
 
-  std::vector<Entry> top_;
+  std::vector<Key> top_;
   TimeNs top_min_ = kTimeNever;
   TimeNs top_max_ = -1;
 
   std::size_t size_ = 0;
-};
 
-#ifdef BNECK_LADDER_STATS
-inline LadderStats::~LadderStats() {
-  std::fprintf(stderr,
-               "[ladder] pops=%llu pushes(non-bottom)=%llu splices=%llu "
-               "splice_moved=%llu spills=%llu spill_entries=%llu "
-               "rung_inserts=%llu top_inserts=%llu\n"
-               "[ladder] refills=%llu bottom_runs=%llu run_len_sum=%llu "
-               "bucket_scans=%llu\n"
-               "[ladder] spawns=%llu spawn_entries=%llu demotes=%llu "
-               "demote_entries=%llu sorted=%llu batch=%llu\n",
-               pops, pushes, splices, splice_moved, spills, spill_entries,
-               rung_inserts, top_inserts,
-               refills, bottom_runs, run_len_sum, bucket_scans, spawns,
-               spawn_entries, demotes, demote_entries, sorted_entries,
-               batch_entries);
-}
-#endif
+  /// Every pending Event, at the slot its key names.  A free slot holds
+  /// a moved-from Event.  The slab grows only when no slot is free.
+  std::vector<Event> slab_;
+  std::vector<std::uint32_t> free_;  // free slots, most recently freed last
+
+  Stats stats_;
+};
 
 }  // namespace bneck::sim

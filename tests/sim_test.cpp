@@ -770,6 +770,132 @@ TEST(QueueMinTime, SurvivesSpillGuardDemotionOnBothQueues) {
   min_time_spill_guard<HeapQueue>();
 }
 
+// ---- LadderQueue memory bound and work counters ----
+
+/// Feeds one schedule through push(t) and drain(): a same-instant burst
+/// of `burst` events behind one straggler (swept in from top, drained
+/// verbatim), then a spread schedule — a descending run that spills
+/// bottom into finer rungs, and a cluster between far outliers whose
+/// top sweep spawns finer rungs.
+template <class Push, class Drain>
+void burst_then_spread(int burst, Push&& push, Drain&& drain) {
+  push(0);
+  for (int i = 0; i < burst; ++i) push(1000);
+  drain();
+  for (TimeNs t = 4000; t > 3800; --t) push(t);
+  for (int i = 0; i < 2000; ++i) push(10'000 + (i * 7919) % 100);
+  for (int i = 0; i < 4; ++i) push(1'000'000 + i);
+  drain();
+}
+
+constexpr int kSpreadEvents = 1 + 200 + 2000 + 4;
+
+LadderQueue::Stats ladder_burst_then_spread(int burst) {
+  LadderQueue q;
+  std::uint64_t seq = 0;
+  burst_then_spread(
+      burst, [&](TimeNs t) { q.push(t, seq++, Event([] {})); },
+      [&] {
+        TimeNs last = -1;
+        while (!q.empty()) {
+          TimeNs t = -1;
+          (void)q.pop(&t);
+          EXPECT_GE(t, last);
+          last = t;
+          q.prepare();
+        }
+      });
+  return q.stats();
+}
+
+TEST(LadderQueueStats, CountsAreIdenticalAcrossRunsOfOneSchedule) {
+  const LadderQueue::Stats a = ladder_burst_then_spread(5000);
+  const LadderQueue::Stats b = ladder_burst_then_spread(5000);
+  EXPECT_TRUE(a == b);
+  EXPECT_EQ(a.pushes, 5000u + kSpreadEvents);
+  EXPECT_EQ(a.pops, a.pushes);
+  EXPECT_EQ(a.peak_pending, 5001u);
+  // The schedule reaches every re-bucketing path and both ways into
+  // bottom.
+  EXPECT_GT(a.spill_entries, 0u);
+  EXPECT_GT(a.spawn_entries, 0u);
+  EXPECT_GE(a.top_entries, 5000u);
+  EXPECT_GE(a.batch_entries, 5000u);
+  EXPECT_GT(a.sorted_entries, 0u);
+  EXPECT_GT(a.splice_shifted, 0u);
+  EXPECT_GT(a.refills, 0u);
+}
+
+TEST(LadderQueueMemory, RetainedKeyCapacityDoesNotGrowWithTheBurst) {
+  // Every key buffer drained by the burst keeps at most
+  // kBottomThreshold spent slots, so what the queue retains after both
+  // drains is set by the spread schedule, not by the burst size.
+  const LadderQueue::Stats small = ladder_burst_then_spread(5000);
+  const LadderQueue::Stats big = ladder_burst_then_spread(50000);
+  EXPECT_EQ(big.peak_pending, 50001u);
+  EXPECT_LE(big.key_capacity, small.key_capacity);
+  EXPECT_LE(small.key_capacity,
+            static_cast<std::uint64_t>(kSpreadEvents) +
+                LadderQueue::kBottomThreshold);
+}
+
+template <class Sim>
+std::vector<std::vector<std::pair<TimeNs, int>>>
+replay_burst_then_spread_with_restore() {
+  // Handlers are functions of their id: events with an id divisible by
+  // 7 schedule one follow-up (at the same instant or up to 36 ns on),
+  // which splices into bottom or lands in a rung bucket mid-drain.
+  Sim s;
+  std::vector<std::pair<TimeNs, int>> fired;
+  std::function<void(int)> fire = [&](int id) {
+    fired.emplace_back(s.now(), id);
+    if (id >= 0 && id % 7 == 0) {
+      const TimeNs delay = id % 3 == 0 ? 0 : id % 37;
+      s.schedule_in(delay, [&fire, id] { fire(-1 - id); });
+    }
+  };
+  int next_id = 0;
+  int drains = 0;
+  std::vector<std::vector<std::pair<TimeNs, int>>> runs;
+  burst_then_spread(
+      5000,
+      [&](TimeNs t) {
+        const int id = next_id++;
+        s.schedule_at(t, [&fire, id] { fire(id); });
+      },
+      [&] {
+        if (drains++ == 0) {
+          s.run_until_idle();
+          return;
+        }
+        // Snapshot partway into the spread drain, finish, then rewind
+        // and finish again.
+        for (int i = 0; i < 1200 && !s.idle(); ++i) s.step();
+        const SimSnapshot snap = s.snapshot();
+        s.run_until_idle();
+        runs.push_back(fired);
+        fired.clear();
+        s.restore(snap);
+        s.run_until_idle();
+        runs.push_back(fired);
+      });
+  return runs;
+}
+
+TEST(QueueAB, BurstThenSpreadWithMidDrainRestoreFiresIdenticallyOnBothQueues) {
+  const auto heap = replay_burst_then_spread_with_restore<HeapSimulator>();
+  const auto ladder = replay_burst_then_spread_with_restore<Simulator>();
+  ASSERT_EQ(heap.size(), 2u);
+  ASSERT_EQ(ladder.size(), 2u);
+  EXPECT_EQ(heap[0], ladder[0]);
+  EXPECT_EQ(heap[1], ladder[1]);
+  // The restored run replays the tail of the uninterrupted one.
+  ASSERT_LT(ladder[1].size(), ladder[0].size());
+  EXPECT_TRUE(std::equal(ladder[1].begin(), ladder[1].end(),
+                         ladder[0].end() - static_cast<std::ptrdiff_t>(
+                                               ladder[1].size())));
+}
+
 TEST(FifoChannel, IdleLinkDeliversAfterTxPlusProp) {
   FifoChannel ch;
   EXPECT_EQ(ch.transmit(100, 10, 1000), 1110);
