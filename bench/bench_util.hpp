@@ -8,8 +8,7 @@
 //                 bench's default.
 //   --seed <n>    RNG seed
 //   --threads <n> worker threads for independent sweep points (0 = all
-//                 cores; also settable via $BNECK_THREADS).  Results are
-//                 byte-identical at any thread count.
+//                 cores).  Results are byte-identical at any thread count.
 //   --shards <k>  exp2_dynamics only: run the simulation on k >= 1
 //                 worker shards of the conservative parallel engine
 //                 (default 1, the single-thread engine).  A fixed k > 1

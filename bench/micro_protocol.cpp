@@ -167,10 +167,10 @@ BENCHMARK(BM_LinkTableHandleOps)->Arg(16)->Arg(256)->Arg(4096);
 //
 // Every set_idle_with_lambda / set_mu transition re-keys a session in
 // one of the two ordered indexes: an erase at the old level and an
-// insert at the new one.  The paper's convergence pattern clusters all
-// Re sessions on very few distinct levels, so the index is optimized
-// for few-levels/many-members; this bench pins the cost of that churn
-// across level spreads (1, 8 and sessions/4 distinct levels).
+// insert at the new one.  The index is one sorted (level, id) vector,
+// so each op is a binary search plus a move of the vector's tail; this
+// bench pins the cost of that churn across index sizes and level
+// spreads (1, 8 and sessions/4 distinct levels).
 
 void BM_RateIndexChurn(benchmark::State& state) {
   const auto sessions = static_cast<std::int32_t>(state.range(0));

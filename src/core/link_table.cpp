@@ -152,82 +152,39 @@ Rate LinkSessionTable::max_F_lambda() const {
   return f_.max_rate();
 }
 
-template <class Out>
-void LinkSessionTable::F_at_impl(Rate value, Out& out) const {
+void LinkSessionTable::F_at(Rate value, std::vector<SessionId>& out) const {
   out.clear();
   const auto [lo, hi] = window(value);
   f_.for_window(lo, hi, [&](Rate r, SessionId s) {
-    if (rate_eq(r, value)) emit(s, out);
+    if (rate_eq(r, value)) out.push_back(s);
   });
-}
-
-template <class Out>
-void LinkSessionTable::idle_R_above_impl(Rate threshold, Out& out) const {
-  out.clear();
-  const auto [lo, hi] = window(threshold);
-  (void)hi;
-  idle_r_.for_from(lo, [&](Rate r, SessionId s) {
-    if (rate_gt(r, threshold)) emit(s, out);
-  });
-}
-
-template <class Out>
-void LinkSessionTable::idle_R_at_impl(Rate value, SessionId exclude,
-                                      Out& out) const {
-  out.clear();
-  if (r_count_ == 0) return;
-  const auto [lo, hi] = window(value);
-  idle_r_.for_window(lo, hi, [&](Rate r, SessionId s) {
-    if (s != exclude && rate_eq(r, value)) emit(s, out);
-  });
-}
-
-template <class Out>
-void LinkSessionTable::idle_R_all_impl(SessionId exclude, Out& out) const {
-  out.clear();
-  out.reserve(idle_r_.size());
-  idle_r_.for_each([&](Rate, SessionId s) {
-    if (s != exclude) emit(s, out);
-  });
-}
-
-void LinkSessionTable::F_at(Rate value,
-                            std::vector<SessionHandle>& out) const {
-  F_at_impl(value, out);
-}
-
-void LinkSessionTable::F_at(Rate value, std::vector<SessionId>& out) const {
-  F_at_impl(value, out);
-}
-
-void LinkSessionTable::idle_R_above(Rate threshold,
-                                    std::vector<SessionHandle>& out) const {
-  idle_R_above_impl(threshold, out);
 }
 
 void LinkSessionTable::idle_R_above(Rate threshold,
                                     std::vector<SessionId>& out) const {
-  idle_R_above_impl(threshold, out);
-}
-
-void LinkSessionTable::idle_R_at(Rate value, SessionId exclude,
-                                 std::vector<SessionHandle>& out) const {
-  idle_R_at_impl(value, exclude, out);
+  out.clear();
+  idle_r_.for_from(window(threshold).first, [&](Rate r, SessionId s) {
+    if (rate_gt(r, threshold)) out.push_back(s);
+  });
 }
 
 void LinkSessionTable::idle_R_at(Rate value, SessionId exclude,
                                  std::vector<SessionId>& out) const {
-  idle_R_at_impl(value, exclude, out);
-}
-
-void LinkSessionTable::idle_R_all(SessionId exclude,
-                                  std::vector<SessionHandle>& out) const {
-  idle_R_all_impl(exclude, out);
+  out.clear();
+  if (r_count_ == 0) return;
+  const auto [lo, hi] = window(value);
+  idle_r_.for_window(lo, hi, [&](Rate r, SessionId s) {
+    if (s != exclude && rate_eq(r, value)) out.push_back(s);
+  });
 }
 
 void LinkSessionTable::idle_R_all(SessionId exclude,
                                   std::vector<SessionId>& out) const {
-  idle_R_all_impl(exclude, out);
+  out.clear();
+  out.reserve(idle_r_.size());
+  idle_r_.for_each([&](Rate, SessionId s) {
+    if (s != exclude) out.push_back(s);
+  });
 }
 
 std::string LinkSessionTable::audit() const {

@@ -25,9 +25,10 @@
 // its probe array for single-cache-line lookups, advances an epoch
 // whenever slots may have moved, and every handle access revalidates
 // against that epoch, re-resolving (one probe) only when it actually
-// did.  The id-keyed methods remain as thin wrappers over the handle
-// path for tests, audits and cold callers; audit() cross-validates the
-// two paths.
+// did.  The id-keyed methods are thin wrappers over the handle path
+// (one probe each) for tests, audits and callers that touch a session
+// once, such as a RouterLink batch's victims; audit() cross-validates
+// the two paths.
 //
 // The pseudocode's predicates are set-level quantifications; this table
 // maintains two ordered indexes — (λ, s) over *idle Re* sessions and over
@@ -40,8 +41,8 @@
 //   all_R_idle_at_be: ∀r∈Re, λ = Be ∧ µ = IDLE       (bottleneck detection)
 //   exists F λ ≥ Be, max/argmax over Fe              (ProcessNewRestricted)
 //   {r∈Re : IDLE ∧ λ > x} / {r∈Re : IDLE ∧ λ ≈ x}    (Update triggers)
-// The set-valued queries resolve their results into handles, so a
-// RouterLink kick batch mutates its victims without a single re-lookup.
+// The set-valued queries return session ids; a RouterLink resolves each
+// victim when it touches it, one probe per victim.
 //
 // λes is only meaningful while s ∈ Fe, or s ∈ Re with µ = IDLE — exactly
 // the states in which the indexes track it.
@@ -72,15 +73,6 @@
 namespace bneck::core {
 
 enum class Mu : std::uint8_t { Idle, WaitingProbe, WaitingResponse };
-
-constexpr const char* mu_name(Mu m) {
-  switch (m) {
-    case Mu::Idle: return "IDLE";
-    case Mu::WaitingProbe: return "WAITING_PROBE";
-    case Mu::WaitingResponse: return "WAITING_RESPONSE";
-  }
-  return "?";
-}
 
 class LinkSessionTable {
  private:
@@ -284,13 +276,11 @@ class LinkSessionTable {
   [[nodiscard]] Rate max_F_lambda() const;
 
   // The set-valued queries fill a caller-provided vector (cleared first)
-  // so per-packet callers can reuse one scratch buffer instead of
-  // allocating a result vector per packet.  The handle-filling overloads
-  // are the hot path (each result is resolved exactly once, inside the
-  // query); the id overloads are conveniences for tests and cold paths.
+  // with session ids in (level, id) order, so per-packet callers reuse
+  // one scratch buffer instead of allocating a result vector per packet.
+  // The by-value forms are conveniences for tests.
 
   /// {s ∈ Fe : λ ≈ value}.
-  void F_at(Rate value, std::vector<SessionHandle>& out) const;
   void F_at(Rate value, std::vector<SessionId>& out) const;
   [[nodiscard]] std::vector<SessionId> F_at(Rate value) const {
     std::vector<SessionId> out;
@@ -299,7 +289,6 @@ class LinkSessionTable {
   }
 
   /// {s ∈ Re : µ = IDLE ∧ λ > threshold} (strictly, beyond tolerance).
-  void idle_R_above(Rate threshold, std::vector<SessionHandle>& out) const;
   void idle_R_above(Rate threshold, std::vector<SessionId>& out) const;
   [[nodiscard]] std::vector<SessionId> idle_R_above(Rate threshold) const {
     std::vector<SessionId> out;
@@ -308,8 +297,6 @@ class LinkSessionTable {
   }
 
   /// {s ∈ Re \ {exclude} : µ = IDLE ∧ λ ≈ value}.
-  void idle_R_at(Rate value, SessionId exclude,
-                 std::vector<SessionHandle>& out) const;
   void idle_R_at(Rate value, SessionId exclude,
                  std::vector<SessionId>& out) const;
   [[nodiscard]] std::vector<SessionId> idle_R_at(
@@ -321,7 +308,6 @@ class LinkSessionTable {
 
   /// All sessions of Re except `exclude`.  Intended for the bottleneck
   /// broadcast, where all of Re is idle; returns them in rate order.
-  void idle_R_all(SessionId exclude, std::vector<SessionHandle>& out) const;
   void idle_R_all(SessionId exclude, std::vector<SessionId>& out) const;
   [[nodiscard]] std::vector<SessionId> idle_R_all(
       SessionId exclude = SessionId{}) const {
@@ -411,25 +397,6 @@ class LinkSessionTable {
     return *h.rec_;
   }
   Rec& rec_mut(SessionHandle& h) { return const_cast<Rec&>(rec(h)); }
-
-  // Shared bodies of the set-valued queries: `Out` is either a
-  // SessionId vector (tests/audit) or a SessionHandle vector (packet
-  // path) — emit() resolves in the handle case, so the two public
-  // overload families cannot drift apart.
-  void emit(SessionId s, std::vector<SessionId>& out) const {
-    out.push_back(s);
-  }
-  void emit(SessionId s, std::vector<SessionHandle>& out) const {
-    out.push_back(checked(s));
-  }
-  template <class Out>
-  void F_at_impl(Rate value, Out& out) const;
-  template <class Out>
-  void idle_R_above_impl(Rate threshold, Out& out) const;
-  template <class Out>
-  void idle_R_at_impl(Rate value, SessionId exclude, Out& out) const;
-  template <class Out>
-  void idle_R_all_impl(SessionId exclude, Out& out) const;
 
   /// Id-path resolution for the wrapper methods: one probe, must hit.
   [[nodiscard]] SessionHandle checked(SessionId s) const {

@@ -1,26 +1,19 @@
 // Ordered (rate, session) index of the per-link session table.
 //
-// Replaces std::multiset<std::pair<Rate, SessionId>> on the packet hot
-// path.  The key observation: a link's sessions cluster on very few
-// distinct rate values (every Re session converges to the same Be, Fe
-// sessions to the Be of their own bottlenecks), so the index is two
-// small sorted vectors instead of a red-black tree — a `levels` vector
-// ordered by rate, each level holding its member sessions ordered by id.
-// Lookups bsearch the level array (a cache line or two), mutations
-// memmove within one contiguous bucket, and iteration is linear scans —
-// no pointer chasing, no node allocation.
+// A multiset of (rate, session) pairs kept as one sorted vector: a
+// lookup is a binary search, an insert or erase moves the tail of that
+// one vector, and iteration is a linear scan — no pointer chasing and
+// no node allocation on the packet hot path.
 //
 // Contract:
 //   * Keys are raw doubles compared exactly — callers own any tolerance
 //     (LinkSessionTable windows rate_eq candidates around a key).  Under
-//     the weighted protocol the keys are weight-normalized levels λ/w;
-//     the clustering observation holds unchanged because Re sessions
-//     share a *level* at a bottleneck.
+//     the weighted protocol the keys are weight-normalized levels λ/w.
 //   * erase() requires the exact (key, session) pair inserted.
 //   * Iteration visits (key ascending, session id ascending within a
-//     key): exactly the order std::multiset<pair> gave, which the
-//     protocol's packet-emission order — and therefore the simulation's
-//     determinism contract — depends on.
+//     key), the order of std::multiset<pair>: the protocol's
+//     packet-emission order — and therefore the simulation's
+//     determinism contract — depends on it.
 #pragma once
 
 #include <algorithm>
@@ -34,102 +27,74 @@ namespace bneck::core {
 
 class RateIndex {
  public:
-  [[nodiscard]] std::size_t size() const { return size_; }
-  [[nodiscard]] bool empty() const { return size_ == 0; }
+  [[nodiscard]] std::size_t size() const { return entries_.size(); }
+  [[nodiscard]] bool empty() const { return entries_.empty(); }
 
   /// Smallest / largest rate present.  Require !empty().
   [[nodiscard]] Rate min_rate() const {
-    BNECK_EXPECT(!levels_.empty(), "min of empty index");
-    return levels_.front().rate;
+    BNECK_EXPECT(!entries_.empty(), "min of empty index");
+    return entries_.front().rate;
   }
   [[nodiscard]] Rate max_rate() const {
-    BNECK_EXPECT(!levels_.empty(), "max of empty index");
-    return levels_.back().rate;
+    BNECK_EXPECT(!entries_.empty(), "max of empty index");
+    return entries_.back().rate;
   }
 
   void insert(Rate rate, SessionId s) {
-    auto lv = level_lower_bound(rate);
-    if (lv == levels_.end() || lv->rate != rate) {
-      lv = levels_.insert(lv, Level{rate, take_spare()});
-    }
-    auto& m = lv->members;
-    m.insert(std::lower_bound(m.begin(), m.end(), s), s);
-    ++size_;
+    const Entry e{rate, s};
+    entries_.insert(lower_bound(e), e);
   }
 
-  /// Removes an entry that must be present (mirrors the old index_remove
-  /// invariant).
+  /// Removes an entry that must be present.
   void erase(Rate rate, SessionId s) {
-    const auto lv = level_lower_bound(rate);
-    BNECK_EXPECT(lv != levels_.end() && lv->rate == rate,
+    const auto it = lower_bound(Entry{rate, s});
+    BNECK_EXPECT(it != entries_.end() && it->rate == rate && it->s == s,
                  "index entry missing");
-    auto& m = lv->members;
-    const auto it = std::lower_bound(m.begin(), m.end(), s);
-    BNECK_EXPECT(it != m.end() && *it == s, "index entry missing");
-    m.erase(it);
-    --size_;
-    if (m.empty()) {
-      give_spare(std::move(m));
-      levels_.erase(lv);
-    }
+    entries_.erase(it);
   }
 
   /// fn(rate, session) over every entry, in (rate, session) order.
   template <class Fn>
   void for_each(Fn&& fn) const {
-    for (const Level& lv : levels_) {
-      for (const SessionId s : lv.members) fn(lv.rate, s);
-    }
+    for (const Entry& e : entries_) fn(e.rate, e.s);
   }
 
-  /// for_each restricted to levels with rate in [lo, hi].
+  /// for_each restricted to entries with rate in [lo, hi].
   template <class Fn>
   void for_window(Rate lo, Rate hi, Fn&& fn) const {
-    for (auto lv = level_lower_bound(lo); lv != levels_.end() && lv->rate <= hi;
-         ++lv) {
-      for (const SessionId s : lv->members) fn(lv->rate, s);
+    for (auto it = first_from(lo); it != entries_.end() && it->rate <= hi;
+         ++it) {
+      fn(it->rate, it->s);
     }
   }
 
-  /// for_each restricted to levels with rate >= lo.
+  /// for_each restricted to entries with rate >= lo.
   template <class Fn>
   void for_from(Rate lo, Fn&& fn) const {
-    for (auto lv = level_lower_bound(lo); lv != levels_.end(); ++lv) {
-      for (const SessionId s : lv->members) fn(lv->rate, s);
+    for (auto it = first_from(lo); it != entries_.end(); ++it) {
+      fn(it->rate, it->s);
     }
   }
 
  private:
-  struct Level {
+  struct Entry {
     Rate rate;
-    std::vector<SessionId> members;  // ascending id
+    SessionId s;
   };
 
-  [[nodiscard]] std::vector<Level>::iterator level_lower_bound(Rate rate) {
+  [[nodiscard]] std::vector<Entry>::iterator lower_bound(const Entry& e) {
     return std::lower_bound(
-        levels_.begin(), levels_.end(), rate,
-        [](const Level& lv, Rate r) { return lv.rate < r; });
+        entries_.begin(), entries_.end(), e, [](const Entry& a, const Entry& b) {
+          return a.rate < b.rate || (a.rate == b.rate && a.s < b.s);
+        });
   }
-  [[nodiscard]] std::vector<Level>::const_iterator level_lower_bound(
-      Rate rate) const {
+  [[nodiscard]] std::vector<Entry>::const_iterator first_from(Rate lo) const {
     return std::lower_bound(
-        levels_.begin(), levels_.end(), rate,
-        [](const Level& lv, Rate r) { return lv.rate < r; });
+        entries_.begin(), entries_.end(), lo,
+        [](const Entry& e, Rate r) { return e.rate < r; });
   }
 
-  std::vector<SessionId> take_spare() {
-    if (spare_.empty()) return {};
-    std::vector<SessionId> v = std::move(spare_.back());
-    spare_.pop_back();
-    return v;
-  }
-  void give_spare(std::vector<SessionId> v) {
-    if (spare_.size() < 4) spare_.push_back(std::move(v));  // keep capacity
-  }
-
-  std::vector<Level> levels_;           // ascending rate
-  std::vector<std::vector<SessionId>> spare_;  // recycled member buffers
-  std::size_t size_ = 0;
+  std::vector<Entry> entries_;  // ascending (rate, session)
 };
 
 }  // namespace bneck::core

@@ -2,17 +2,18 @@
 
 namespace bneck::core {
 
-void RouterLink::kick(SessionHandle& h) {
+void RouterLink::kick(SessionId s) {
+  SessionHandle h = table_.find(s);
   table_.set_mu(h, Mu::WaitingProbe);
   Packet u;
   u.type = PacketType::Update;
-  u.session = h.id();
+  u.session = s;
   transport_.send_upstream(u, table_.hop(h));
 }
 
-void RouterLink::kick_batch(std::vector<SessionHandle>& batch) {
-  for (SessionHandle& h : batch) {
-    kick(h);
+void RouterLink::kick_batch(const std::vector<SessionId>& batch) {
+  for (const SessionId s : batch) {
+    kick(s);
     if (fault_single_kick_) break;  // harness-validation mutation
   }
 }
@@ -21,9 +22,7 @@ void RouterLink::process_new_restricted() {
   // while ∃s ∈ Fe : λes ≥ Be — move the maximal-rate Fe sessions to Re.
   while (table_.f_size() > 0 && table_.exists_F_ge_be()) {
     table_.F_at(table_.max_F_lambda(), scratch_);
-    for (SessionHandle& r : scratch_) {
-      table_.move_to_R(r);
-    }
+    for (const SessionId s : scratch_) table_.move_to_R(s);
   }
   // foreach s ∈ Re : µ = IDLE ∧ λes > Be — their rate must shrink.
   table_.idle_R_above(table_.be(), scratch_);
@@ -97,11 +96,11 @@ void RouterLink::on_response(const Packet& p, Hint& hint) {
       q.tag = ResponseTag::Bottleneck;
       q.eta = id_;
       table_.idle_R_all(q.session, scratch_);
-      for (SessionHandle& r : scratch_) {
+      for (const SessionId s : scratch_) {
         Packet b;
         b.type = PacketType::Bottleneck;
-        b.session = r.id();
-        transport_.send_upstream(b, table_.hop(r));
+        b.session = s;
+        transport_.send_upstream(b, table_.hop(s));
       }
     }
   }
@@ -151,9 +150,7 @@ void RouterLink::on_set_bottleneck(const Packet& p, Hint& hint) {
 
 void RouterLink::on_leave(const Packet& p, Hint& hint) {
   // R' is computed against Be *before* the departure; the departure can
-  // only raise Be, so these sessions may deserve more bandwidth.  The
-  // erase kills only the leaver's handle — the batch handles survive it
-  // (they revalidate against the record map's epoch on next use).
+  // only raise Be, so these sessions may deserve more bandwidth.
   SessionHandle h = table_.resolve(p.session, hint);
   table_.idle_R_at(table_.be(), p.session, scratch_);
   table_.erase(h);

@@ -13,13 +13,11 @@
 // table's record map has not moved a slot since the hint was taken, and
 // re-probes once (refreshing the hint) when it has; on_join inserts and
 // records the hint instead — and threads the resulting SessionHandle
-// through every predicate, mutation and helper (ProcessNewRestricted,
-// kick batches).  The set-valued table queries return handles too, so a
-// kick batch re-probes its victims without further hash lookups (after
-// an erase, at most one re-probe per handle: handles revalidate against
-// the record map's epoch).  Handles stay usable for the whole handler
-// run; the only mutation that kills one is the erase of its own session
-// (on_leave).
+// through every predicate and mutation of that session.  Handles stay
+// usable for the whole handler run; the only mutation that kills one is
+// the erase of its own session (on_leave).  The set-valued table queries
+// (ProcessNewRestricted, kick batches, the Bottleneck broadcast) return
+// session ids, and each victim is resolved once, when it is touched.
 //
 // All rate arithmetic happens in weight-normalized *level* space (λ/w;
 // see link_table.hpp): the handlers below are literally the paper's
@@ -98,24 +96,24 @@ class RouterLink {
   /// idle Re session whose rate now exceeds Be.
   void process_new_restricted();
 
-  /// Emits Update upstream from this link and marks the session
-  /// WAITING_PROBE — all through the already-resolved handle.
-  void kick(SessionHandle& h);
+  /// Resolves s once, marks it WAITING_PROBE and emits Update upstream
+  /// from this link.
+  void kick(SessionId s);
 
   /// kick() for every session in `batch` — or only the first when the
   /// fault_single_kick mutation is armed.
-  void kick_batch(std::vector<SessionHandle>& batch);
+  void kick_batch(const std::vector<SessionId>& batch);
 
   LinkId id_;
   LinkSessionTable table_;
   Transport& transport_;
   bool fault_single_kick_;
-  // Reused buffer for the table's set-valued queries (pre-resolved
-  // handles); the handlers never overlap two live query results, and
+  // Reused buffer for the table's set-valued queries (session ids);
+  // the handlers never overlap two live query results, and
   // packet handling is synchronous (emitted packets are delivered by
   // later simulator events), so one buffer per link suffices and saves
   // an allocation per query.
-  std::vector<SessionHandle> scratch_;
+  std::vector<SessionId> scratch_;
 };
 
 }  // namespace bneck::core

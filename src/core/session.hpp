@@ -30,8 +30,6 @@ struct SessionSpec {
   /// session with weight w receives w times the share of an equal
   /// competitor at every common bottleneck.  Must be > 0 and finite.
   double weight = 1.0;
-
-  [[nodiscard]] LinkId first_link() const { return path.links.front(); }
 };
 
 }  // namespace bneck::core

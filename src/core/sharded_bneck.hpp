@@ -116,10 +116,6 @@ class ShardedBneck {
   [[nodiscard]] std::uint64_t cross_shard_packets() const {
     return scheduler_->messages_posted();
   }
-  /// Shard k's protocol instance (tests/debugging).
-  [[nodiscard]] const BneckProtocol& shard_protocol(std::int32_t k) const {
-    return *protocols_[static_cast<std::size_t>(k)];
-  }
 
  private:
   /// Shards owning at least one task of `path` (RouterLink per hop, the

@@ -23,8 +23,6 @@ namespace bneck::net {
 /// links.back() is the destination access link (router -> host).
 struct Path {
   std::vector<LinkId> links;
-
-  [[nodiscard]] std::size_t hop_count() const { return links.size(); }
 };
 
 class PathFinder {

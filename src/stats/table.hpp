@@ -28,8 +28,6 @@ class Table {
   /// Comma-separated dump (no quoting; cells must not contain commas).
   void print_csv(std::ostream& os) const;
 
-  [[nodiscard]] std::size_t row_count() const { return rows_.size(); }
-
  private:
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;

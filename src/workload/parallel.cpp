@@ -1,33 +1,13 @@
 #include "workload/parallel.hpp"
 
 #include <atomic>
-#include <cerrno>
-#include <cstdlib>
 #include <exception>
 #include <mutex>
 #include <thread>
 
-#include "base/expect.hpp"
-
 namespace bneck::workload {
 
 std::size_t default_parallelism() {
-  if (const char* env = std::getenv("BNECK_THREADS")) {
-    // A set-but-unusable value is a configuration error, not a hint: a
-    // silent fallback to all cores would make shard/thread-scaling
-    // measurements lie about their worker count.  Empty string means
-    // unset (the common `BNECK_THREADS= cmd` idiom).
-    if (*env != '\0') {
-      char* end = nullptr;
-      errno = 0;
-      const long n = std::strtol(env, &end, 10);
-      BNECK_EXPECT(end != env && *end == '\0',
-                   "BNECK_THREADS is not a number");
-      BNECK_EXPECT(errno != ERANGE && n > 0,
-                   "BNECK_THREADS must be a positive thread count");
-      return static_cast<std::size_t>(n);
-    }
-  }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? hw : 1;
 }

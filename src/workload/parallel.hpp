@@ -19,8 +19,8 @@
 
 namespace bneck::workload {
 
-/// Worker count used when `threads == 0`: $BNECK_THREADS if set and
-/// positive, else std::thread::hardware_concurrency().
+/// Worker count used when `threads == 0`:
+/// std::thread::hardware_concurrency(), or 1 when that is unknown.
 [[nodiscard]] std::size_t default_parallelism();
 
 /// Invokes fn(i) for i in [0, count) across up to `threads` workers

@@ -339,7 +339,7 @@ TEST(RateIndex, KeepsMultisetIterationOrder) {
   EXPECT_EQ(idx.size(), 5u);
 }
 
-TEST(RateIndex, EraseCollapsesEmptyLevels) {
+TEST(RateIndex, EraseRemovesExactEntries) {
   RateIndex idx;
   idx.insert(2.0, S(1));
   idx.insert(2.0, S(2));

@@ -176,46 +176,6 @@ TEST(SessionHandleEquivalence, IdPathAndHandlePathAgreeUnderRandomOps) {
   }
 }
 
-TEST(SessionHandleEquivalence, HandleQueriesMatchIdQueries) {
-  LinkSessionTable t(100.0);
-  for (int i = 0; i < 10; ++i) {
-    t.insert_R(S(i), 0);
-    t.set_idle_with_lambda(S(i), i < 5 ? 10.0 : 25.0);
-  }
-  for (int i = 0; i < 3; ++i) t.move_to_F(S(i));
-
-  std::vector<SessionHandle> handles;
-  std::vector<SessionId> ids;
-
-  t.F_at(10.0, handles);
-  t.F_at(10.0, ids);
-  ASSERT_EQ(handles.size(), ids.size());
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    EXPECT_EQ(handles[i].id(), ids[i]);
-  }
-
-  t.idle_R_above(15.0, handles);
-  t.idle_R_above(15.0, ids);
-  ASSERT_EQ(handles.size(), ids.size());
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    EXPECT_EQ(handles[i].id(), ids[i]);
-  }
-
-  t.idle_R_at(25.0, S(6), handles);
-  t.idle_R_at(25.0, S(6), ids);
-  ASSERT_EQ(handles.size(), ids.size());
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    EXPECT_EQ(handles[i].id(), ids[i]);
-  }
-
-  t.idle_R_all(SessionId{}, handles);
-  t.idle_R_all(SessionId{}, ids);
-  ASSERT_EQ(handles.size(), ids.size());
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    EXPECT_EQ(handles[i].id(), ids[i]);
-  }
-}
-
 // ---- audits catching stale / desynced handles ----
 
 TEST(SessionHandleAudit, CatchesHandleHeldAcrossOwnErase) {

@@ -1,11 +1,12 @@
 // Tests for workload generation and the experiment harness.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <map>
-#include <optional>
+#include <mutex>
 #include <set>
-#include <string>
+#include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "base/expect.hpp"
 #include "proto/bfyz.hpp"
@@ -584,58 +585,42 @@ TEST(ScheduleLeaves, LeavesHappenAfterJoins) {
   EXPECT_EQ(driver.active_specs().size(), 5u);
 }
 
-// ---- $BNECK_THREADS parsing (workload/parallel.cpp) ----
+// ---- the sweep pool (workload/parallel.cpp) ----
 
-/// Restores the pre-test $BNECK_THREADS on scope exit so the test can
-/// mutate the environment freely.
-class ScopedThreadsEnv {
- public:
-  ScopedThreadsEnv() {
-    if (const char* v = std::getenv("BNECK_THREADS")) saved_ = v;
-  }
-  ~ScopedThreadsEnv() {
-    if (saved_) {
-      ::setenv("BNECK_THREADS", saved_->c_str(), 1);
-    } else {
-      ::unsetenv("BNECK_THREADS");
-    }
-  }
-
- private:
-  std::optional<std::string> saved_;
-};
+TEST(Parallelism, ZeroThreadsMeansHardwareConcurrency) {
+  const unsigned hw = std::thread::hardware_concurrency();
+  EXPECT_EQ(default_parallelism(), hw > 0 ? hw : 1u);
+}
 
 TEST(Parallelism, HonorsExplicitThreadCount) {
-  const ScopedThreadsEnv guard;
-  ::setenv("BNECK_THREADS", "3", 1);
-  EXPECT_EQ(default_parallelism(), 3u);
+  // Every index runs exactly once, on at most `threads` workers (the
+  // calling thread is one of them).
+  std::mutex mu;
+  std::set<std::thread::id> workers;
+  std::vector<int> runs(64, 0);
+  parallel_for_index(runs.size(), 3, [&](std::size_t i) {
+    const std::lock_guard<std::mutex> lock(mu);
+    workers.insert(std::this_thread::get_id());
+    ++runs[i];
+  });
+  EXPECT_LE(workers.size(), 3u);
+  EXPECT_EQ(runs, std::vector<int>(64, 1));
 }
 
-TEST(Parallelism, UnsetOrEmptyFallsBackToHardware) {
-  const ScopedThreadsEnv guard;
-  ::unsetenv("BNECK_THREADS");
-  EXPECT_GE(default_parallelism(), 1u);
-  // The `BNECK_THREADS= cmd` idiom means unset, not zero.
-  ::setenv("BNECK_THREADS", "", 1);
-  EXPECT_GE(default_parallelism(), 1u);
-}
-
-TEST(Parallelism, GarbageThreadCountIsAnErrorNotAFallback) {
-  // A silent fallback would make scaling benchmarks lie about their
-  // worker count, so every unusable value must throw.
-  const ScopedThreadsEnv guard;
-  for (const char* bad : {"abc", "4x", "x4", "3.5"}) {
-    ::setenv("BNECK_THREADS", bad, 1);
-    EXPECT_THROW((void)default_parallelism(), InvariantError) << bad;
+TEST(Parallelism, MapKeepsInputOrderAndRethrowsTaskError) {
+  const std::vector<std::size_t> squares = parallel_map<std::size_t>(
+      100, 4, [](std::size_t i) { return i * i; });
+  ASSERT_EQ(squares.size(), 100u);
+  for (std::size_t i = 0; i < squares.size(); ++i) {
+    EXPECT_EQ(squares[i], i * i);
   }
-}
-
-TEST(Parallelism, NonPositiveOrOverflowingThreadCountThrows) {
-  const ScopedThreadsEnv guard;
-  for (const char* bad : {"0", "-1", "-42", "999999999999999999999999"}) {
-    ::setenv("BNECK_THREADS", bad, 1);
-    EXPECT_THROW((void)default_parallelism(), InvariantError) << bad;
-  }
+  EXPECT_THROW(parallel_for_index(100, 4,
+                                  [](std::size_t i) {
+                                    if (i == 37) {
+                                      throw std::runtime_error("task 37");
+                                    }
+                                  }),
+               std::runtime_error);
 }
 
 }  // namespace
