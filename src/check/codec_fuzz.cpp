@@ -233,6 +233,66 @@ CodecFuzzResult run_codec_seed(std::uint64_t seed) {
       ++res.mutations;
       if (!r.ok()) ++res.rejected;
     }
+
+    // Datagrams: corpus frames back to back, then one mutation of each.
+    std::vector<wire::Frame> frames;
+    std::vector<std::size_t> picks;
+    for (int i = 0; i < 64 && res.ok(); ++i) {
+      buf.clear();
+      picks.resize(static_cast<std::size_t>(rng.uniform_int(1, 8)));
+      for (std::size_t& k : picks) {
+        k = static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(corpus.size()) - 1));
+        buf.insert(buf.end(), corpus[k].begin(), corpus[k].end());
+      }
+      if (const char* error = wire::decode_datagram(buf, frames)) {
+        res.failure = fmt("datagram %d of %zu frames rejected: %s", i,
+                          picks.size(), error);
+        break;
+      }
+      ++res.datagrams;
+      if (frames.size() != picks.size()) {
+        res.failure = fmt("datagram %d: %zu frames split as %zu", i,
+                          picks.size(), frames.size());
+        break;
+      }
+      for (std::size_t k = 0; k < picks.size() && res.ok(); ++k) {
+        reencode(frames[k], rebuf);
+        if (rebuf != corpus[picks[k]]) {
+          res.failure = fmt("datagram %d: frame %zu did not round-trip", i, k);
+        }
+      }
+      if (!res.ok()) break;
+
+      if (rng.chance(0.5)) {
+        buf.resize(static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(buf.size()) - 1)));
+      } else {
+        const auto flips = rng.uniform_int(1, 4);
+        for (std::int64_t k = 0; k < flips; ++k) {
+          buf[static_cast<std::size_t>(rng.uniform_int(
+              0, static_cast<std::int64_t>(buf.size()) - 1))] ^=
+              static_cast<std::uint8_t>(rng.uniform_int(1, 255));
+        }
+      }
+      ++res.mutations;
+      if (wire::decode_datagram(buf, frames) != nullptr) {
+        ++res.rejected;
+        if (!frames.empty()) {
+          res.failure = fmt("datagram mutation %d: rejected but delivered "
+                            "%zu frames", i, frames.size());
+        }
+        continue;
+      }
+      for (std::size_t k = 0; k < frames.size() && res.ok(); ++k) {
+        reencode(frames[k], rebuf);
+        const wire::DecodeResult r2 = wire::decode(rebuf);
+        if (!r2.ok()) {
+          res.failure = fmt("datagram mutation %d: accepted frame %zu failed "
+                            "to re-decode: %s", i, k, r2.error);
+        }
+      }
+    }
   } catch (const std::exception& e) {
     res.failure = fmt("decode threw: %s", e.what());
   }

@@ -10,7 +10,11 @@
 //   * mutations — truncations, extensions and byte flips of valid
 //     frames must either be rejected with a decode error or decode to
 //     a frame that itself round-trips (no half-validated state);
-//   * garbage — random buffers must never crash the decoder.
+//   * garbage — random buffers must never crash the decoder;
+//   * datagrams — 1–8 valid frames back to back must split and decode
+//     frame for frame through wire::decode_datagram, and a truncation
+//     or byte flip of one must be rejected whole or decode to frames
+//     that each round-trip.
 //
 // Like the protocol fuzzer, the campaign is a pure function of the
 // seed, so a failing seed is its own reproducer.
@@ -24,6 +28,7 @@ namespace bneck::check {
 struct CodecFuzzResult {
   std::uint64_t seed = 0;
   std::uint64_t frames = 0;     // well-formed frames round-tripped
+  std::uint64_t datagrams = 0;  // multi-frame datagrams round-tripped
   std::uint64_t mutations = 0;  // mutated / garbage buffers decoded
   std::uint64_t rejected = 0;   // of those, rejected with an error
   std::string failure;          // empty when the seed passed

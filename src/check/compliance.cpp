@@ -169,7 +169,7 @@ std::string run_client(const net::Network& net, const Scenario& sc,
   client.poll(0);  // flush frames the disarmed injector released
   client.shutdown_daemon();
   res.wire_frames =
-      client.transport().datagrams_sent() + client.transport().datagrams_received();
+      client.transport().frames_sent() + client.transport().frames_received();
   res.retransmissions = client.transport().retransmissions();
   return failure;
 }

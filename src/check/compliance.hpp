@@ -16,7 +16,7 @@
 // --faults`) instead interposes a deterministic transport::
 // FaultInjector on BOTH egress paths — client and daemon — so every
 // frame family crosses a network that drops, duplicates, reorders,
-// delays and bit-corrupts datagrams, and the converged rates must
+// delays and bit-corrupts frames, and the converged rates must
 // still match the centralized solver: the reliability sublayer
 // (transport/reliable.hpp) is what is actually under test.  Fault
 // schedules are pure functions of the scenario seed, so a failure
@@ -55,7 +55,7 @@ struct ComplianceResult {
   std::string failure;  // empty when ok
   std::uint64_t seed = 0;
   std::uint32_t sessions_checked = 0;  // live sessions compared to solver
-  std::uint64_t wire_frames = 0;       // datagrams the client exchanged
+  std::uint64_t wire_frames = 0;       // frames the client exchanged
   std::uint64_t retransmissions = 0;   // client-side reliable re-sends
   int nudges = 0;
   /// What the client-side injector did (zeroes when faults are off;

@@ -106,14 +106,18 @@ void Daemon::maybe_summary(TimeNs t) {
     rejects += '=';
     rejects += std::to_string(n);
   }
+  const auto ull = [](std::uint64_t n) {
+    return static_cast<unsigned long long>(n);
+  };
   std::fprintf(stderr,
                "bneckd: sessions=%u accepted=%llu rejected=%llu "
-               "retx=%llu expired=%u%s\n",
-               live_,
-               static_cast<unsigned long long>(stats_.frames_accepted),
-               static_cast<unsigned long long>(stats_.frames_rejected),
-               static_cast<unsigned long long>(transport_.retransmissions()),
-               stats_.expired_sessions,
+               "retx=%llu expired=%u frames=%llu datagrams=%llu%s\n",
+               live_, ull(stats_.frames_accepted),
+               ull(stats_.frames_rejected),
+               ull(transport_.retransmissions()), stats_.expired_sessions,
+               ull(transport_.frames_sent() + transport_.frames_received()),
+               ull(transport_.datagrams_sent() +
+                   transport_.datagrams_received()),
                rejects.empty() ? " rejects=none" : rejects.c_str());
 }
 

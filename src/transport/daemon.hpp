@@ -58,6 +58,7 @@ struct DaemonOptions {
   /// Reap the sessions of a client silent this long; 0 disables expiry.
   TimeNs session_expiry = 0;
   /// Emit a one-line counter summary to stderr this often; 0 disables.
+  /// Its frames= and datagrams= counts sum both directions of the wire.
   TimeNs summary_period = 0;
 };
 

@@ -140,7 +140,7 @@ void FaultInjector::process(TimeNs now, const Endpoint& to,
     emit(to, bytes);
     return;
   }
-  ++counters_.datagrams;
+  ++counters_.frames;
   // One draw decides the fate (cumulative ranges), so the schedule is a
   // pure function of the seed and the egress index.
   const double u = rng_.uniform_real(0.0, 1.0);

@@ -1,9 +1,9 @@
-// Deterministic datagram-level fault injection.
+// Deterministic frame-level fault injection.
 //
 // The reliability layer (transport/reliable.hpp) claims to survive a
 // hostile network; this module is the hostile network.  A FaultInjector
 // composes over a transport's egress path (UdpTransport::
-// set_fault_injector): every outbound datagram is assigned a fate —
+// set_fault_injector): every outbound frame is assigned a fate —
 // pass, drop, duplicate, reorder, delay, or bit-corrupt — drawn from a
 // seeded Rng, so the whole fault schedule is a pure function of
 // (FaultConfig::seed, egress sequence): same seed, same fault trace,
@@ -14,15 +14,17 @@
 // frames exercise the real repair machinery: retransmit timers repair
 // drops and corruptions (decode rejects the mangled frame at the
 // receiver), the dedup window suppresses duplicates, go-back-N
-// reordering tolerance absorbs the delay/reorder queue.
+// reordering tolerance absorbs the delay/reorder queue.  Fates are
+// drawn per frame, before the transport packs frames into datagrams,
+// so a corrupted frame costs the receiver its whole datagram.
 //
 // Reordering holds one frame back and emits it after the next egress
-// datagram; delaying holds a frame in a deadline queue the owner
+// frame; delaying holds a frame in a deadline queue the owner
 // flushes from its pump loop.  disarm() turns the injector into a
 // pass-through and releases everything held — the compliance harness
 // disarms before the Shutdown handshake so teardown is not part of the
 // experiment.  When no injector is installed the transport pays one
-// branch per datagram: the wrapper is zero-cost when disabled.
+// branch per frame: the wrapper is zero-cost when disabled.
 #pragma once
 
 #include <cstdint>
@@ -42,7 +44,7 @@ namespace bneck::transport {
 struct FaultConfig {
   /// Fault-schedule seed; 0 lets the harness derive one (scenario seed).
   std::uint64_t seed = 0;
-  // Per-datagram fault probabilities; independent draws, first match
+  // Per-frame fault probabilities; independent draws, first match
   // in the order below wins.
   double drop = 0.0;
   double duplicate = 0.0;
@@ -76,7 +78,7 @@ struct FaultConfig {
 };
 
 struct FaultCounters {
-  std::uint64_t datagrams = 0;  // egress datagrams seen
+  std::uint64_t frames = 0;  // egress frames seen
   std::uint64_t passed = 0;
   std::uint64_t dropped = 0;
   std::uint64_t duplicated = 0;
@@ -98,7 +100,7 @@ class FaultInjector {
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
 
-  /// Decides the fate of one egress datagram, invoking `emit` zero, one
+  /// Decides the fate of one egress frame, invoking `emit` zero, one
   /// or two times now and possibly holding bytes for a later flush().
   void process(TimeNs now, const Endpoint& to,
                std::span<const std::uint8_t> bytes, const Emit& emit);

@@ -48,12 +48,6 @@ TimeNs monotonic_now() {
   return static_cast<TimeNs>(ts.tv_sec) * 1'000'000'000 + ts.tv_nsec;
 }
 
-// One wire frame per datagram; the largest legal frame is a Join with
-// kMaxPathLinks path entries wrapped in a checksummed Data frame.
-constexpr std::size_t kMaxDatagram =
-    wire::kDataPrefixBytes + wire::kPacketFrameBytes +
-    4 * wire::kMaxPathLinks + wire::kChecksumBytes;
-
 }  // namespace
 
 Endpoint Endpoint::loopback(std::uint16_t port) {
@@ -148,36 +142,33 @@ bool UdpSocket::wait_readable(int timeout_ms) {
   }
 }
 
-// Per-transport batch scratch.  Each receive slot is two buffers: a
-// small head that holds every frame but a long Join, packed with the
-// other heads, and a tail in its own anonymous mapping, so tail pages
-// become resident only when a datagram reaches them and are never
-// recycled heap.  A slot is one byte longer than the largest legal
-// frame, so an oversized datagram arrives truncated and fails to
-// decode.
+// Per-transport batch scratch.  Each receive slot is one byte longer
+// than the largest legal datagram — a lone wire::kMaxFrameBytes frame,
+// longer than any coalesced one — so a longer datagram fills its slot
+// and is rejected by its length, and every datagram decodes in place.
+// The slots live in one anonymous mapping: a page becomes resident only
+// when a datagram reaches it, so a batch of coalesced datagrams touches
+// one page per slot, and only a long Join more.
 struct UdpTransport::Io {
-  static constexpr std::size_t kHead = 256;
-  static constexpr std::size_t kTail = kMaxDatagram + 1 - kHead;
+  static constexpr std::size_t kSlot = wire::kMaxFrameBytes + 1;
+  static_assert(kSlot > kDatagramBytes);
 
-  std::array<std::array<std::uint8_t, kHead>, kBatch> head{};
-  std::uint8_t* tail = static_cast<std::uint8_t*>(
-      ::mmap(nullptr, kBatch * kTail, PROT_READ | PROT_WRITE,
+  std::uint8_t* rx_bytes = static_cast<std::uint8_t*>(
+      ::mmap(nullptr, kBatch * kSlot, PROT_READ | PROT_WRITE,
              MAP_PRIVATE | MAP_ANONYMOUS, -1, 0));
-  std::vector<std::uint8_t> joined;  // a head + tail datagram, contiguous
   std::array<mmsghdr, kBatch> rx{};
-  std::array<std::array<iovec, 2>, kBatch> rx_iov{};
+  std::array<iovec, kBatch> rx_iov{};
   std::array<sockaddr_in, kBatch> rx_addr{};
   std::array<mmsghdr, kBatch> tx{};
   std::array<iovec, kBatch> tx_iov{};
   std::array<sockaddr_in, kBatch> tx_addr{};
 
   Io() {
-    BNECK_EXPECT(tail != MAP_FAILED, "mmap of receive buffers failed");
+    BNECK_EXPECT(rx_bytes != MAP_FAILED, "mmap of receive buffers failed");
     for (std::size_t i = 0; i < kBatch; ++i) {
-      rx_iov[i][0] = {head[i].data(), kHead};
-      rx_iov[i][1] = {tail + i * kTail, kTail};
-      rx[i].msg_hdr.msg_iov = rx_iov[i].data();
-      rx[i].msg_hdr.msg_iovlen = 2;
+      rx_iov[i] = {rx_bytes + i * kSlot, kSlot};
+      rx[i].msg_hdr.msg_iov = &rx_iov[i];
+      rx[i].msg_hdr.msg_iovlen = 1;
       rx[i].msg_hdr.msg_name = &rx_addr[i];
       rx[i].msg_hdr.msg_namelen = sizeof(sockaddr_in);
       tx[i].msg_hdr.msg_iov = &tx_iov[i];
@@ -187,18 +178,13 @@ struct UdpTransport::Io {
     }
   }
 
-  ~Io() { ::munmap(tail, kBatch * kTail); }
+  ~Io() { ::munmap(rx_bytes, kBatch * kSlot); }
   Io(const Io&) = delete;
   Io& operator=(const Io&) = delete;
 
   /// The bytes of received datagram `i`.
-  std::span<const std::uint8_t> datagram(std::size_t i) {
-    const std::size_t len = rx[i].msg_len;
-    if (len <= kHead) return {head[i].data(), len};
-    joined.assign(head[i].begin(), head[i].end());
-    joined.insert(joined.end(), tail + i * kTail,
-                  tail + i * kTail + (len - kHead));
-    return joined;
+  [[nodiscard]] std::span<const std::uint8_t> datagram(std::size_t i) const {
+    return {rx_bytes + i * kSlot, rx[i].msg_len};
   }
 };
 
@@ -214,7 +200,7 @@ UdpTransport::~UdpTransport() = default;
 
 TimeNs UdpTransport::now() const { return monotonic_now(); }
 
-UdpTransport::DatagramChannel* UdpTransport::channel_for(
+UdpTransport::FrameChannel* UdpTransport::channel_for(
     const Endpoint& ep) {
   const auto it = channels_.find(ep);
   if (it != channels_.end()) return &it->second;
@@ -248,9 +234,20 @@ void UdpTransport::egress(const Endpoint& to,
 
 void UdpTransport::enqueue(const Endpoint& to,
                            std::span<const std::uint8_t> bytes) {
-  tx_.push_back({to, tx_bytes_.size(), bytes.size()});
-  tx_bytes_.insert(tx_bytes_.end(), bytes.begin(), bytes.end());
-  if (tx_.size() >= kBatch) flush();
+  // Only the last queued datagram takes more frames, so each peer's
+  // frames leave in the order they were queued.
+  if (tx_.empty() || tx_.back().to != to ||
+      tx_.back().size + bytes.size() > kDatagramBytes) {
+    if (tx_.size() == kBatch) flush();  // kBatch closed datagrams wait
+    const std::size_t offset = tx_bytes_.size();
+    tx_bytes_.resize(offset + std::max(bytes.size(), kDatagramBytes));
+    tx_.push_back(Queued{to, offset, 0, 0});
+  }
+  Queued& d = tx_.back();
+  std::memcpy(tx_bytes_.data() + d.offset + d.size, bytes.data(),
+              bytes.size());
+  d.size += bytes.size();
+  ++d.frames;
 }
 
 void UdpTransport::flush() {
@@ -266,7 +263,9 @@ void UdpTransport::flush() {
                                 static_cast<unsigned>(n - done), 0);
       if (rc > 0) {
         datagrams_sent_ += static_cast<std::uint64_t>(rc);
-        done += static_cast<std::size_t>(rc);
+        for (int k = 0; k < rc; ++k) {
+          frames_sent_ += tx_[first + done++].frames;
+        }
         continue;
       }
       if (rc < 0 && errno == EINTR) continue;
@@ -296,7 +295,7 @@ void UdpTransport::send(LinkId physical, const core::Packet& p) {
     wire::encode_packet(p, encode_buf_);
   }
   sink_.on_wire(p, physical);
-  DatagramChannel* ch = channel_for(*to);
+  FrameChannel* ch = channel_for(*to);
   if (ch != nullptr) {
     std::vector<std::uint8_t> frame;
     wire::encode_data(ch->next_seq(), encode_buf_, frame);
@@ -344,47 +343,58 @@ std::size_t UdpTransport::drain_socket() {
     for (std::size_t i = 0; i < n; ++i) {
       const Endpoint from = from_sockaddr(io_->rx_addr[i]);
       io_->rx[i].msg_hdr.msg_namelen = sizeof(sockaddr_in);  // for reuse
-      wire::DecodeResult r = wire::decode(io_->datagram(i));
-      if (!r.ok()) {
+      // Decoded whole before any frame is delivered: a bad frame drops
+      // the datagram, and so does a datagram cut short by its slot.
+      const std::span<const std::uint8_t> datagram = io_->datagram(i);
+      const char* error = datagram.size() > wire::kMaxFrameBytes
+                              ? "datagram longer than the longest frame"
+                              : wire::decode_datagram(datagram, rx_frames_);
+      if (error != nullptr) {
         ++decode_errors_;
-        last_decode_error_ = r.error;
+        last_decode_error_ = error;
         continue;
       }
-      if (r.frame.kind == wire::FrameKind::Ack) {
-        // Bookkeeping only: advance the sender window of an existing
-        // channel.  An ack from a stranger allocates nothing.
-        const auto it = channels_.find(from);
-        if (it != channels_.end()) it->second.on_ack(r.frame.seq, now());
-        continue;
+      frames_received_ += rx_frames_.size();
+      for (wire::Frame& f : rx_frames_) {
+        if (on_frame(f, from)) ++processed;
       }
-      if (r.frame.kind == wire::FrameKind::Data) {
-        DatagramChannel* ch = channel_for(from);
-        if (ch == nullptr) continue;  // peer table full, counted
-        // Every Data arrival — fresh or stale — earns its peer the
-        // batch's ack, so a lost ack is repaired by the retransmission
-        // it provokes.
-        if (std::none_of(ack_due_.begin(), ack_due_.end(),
-                         [ch](const auto& d) { return d.second == ch; })) {
-          ack_due_.emplace_back(from, ch);
-        }
-        if (!ch->on_data(r.frame.seq)) {
-          continue;  // duplicate/out-of-order: channel counted it
-        }
-        r.frame.kind = wire::FrameKind::Packet;  // deliver the inner packet
-      }
-      ++processed;
-      if (frame_handler_) {
-        frame_handler_(r.frame, from);
-      } else if (r.frame.kind == wire::FrameKind::Packet) {
-        sink_.on_packet(r.frame.packet);
-      }
-      drain_local();  // handoffs triggered by this frame, FIFO
     }
     send_acks();
     // A short batch emptied the socket; later arrivals wait for the
     // next pump.
     if (n < kBatch) return processed;
   }
+}
+
+bool UdpTransport::on_frame(wire::Frame& f, const Endpoint& from) {
+  if (f.kind == wire::FrameKind::Ack) {
+    // Bookkeeping only: advance the sender window of an existing
+    // channel.  An ack from a stranger allocates nothing.
+    const auto it = channels_.find(from);
+    if (it != channels_.end()) it->second.on_ack(f.seq, now());
+    return false;
+  }
+  if (f.kind == wire::FrameKind::Data) {
+    FrameChannel* ch = channel_for(from);
+    if (ch == nullptr) return false;  // peer table full, counted
+    // Every Data arrival — fresh or stale — earns its peer the batch's
+    // ack, so a lost ack is repaired by the retransmission it provokes.
+    if (std::none_of(ack_due_.begin(), ack_due_.end(),
+                     [ch](const auto& d) { return d.second == ch; })) {
+      ack_due_.emplace_back(from, ch);
+    }
+    if (!ch->on_data(f.seq)) {
+      return false;  // duplicate/out-of-order: channel counted it
+    }
+    f.kind = wire::FrameKind::Packet;  // deliver the inner packet
+  }
+  if (frame_handler_) {
+    frame_handler_(f, from);
+  } else if (f.kind == wire::FrameKind::Packet) {
+    sink_.on_packet(f.packet);
+  }
+  drain_local();  // handoffs triggered by this frame, FIFO
+  return true;
 }
 
 void UdpTransport::send_acks() {

@@ -2,34 +2,39 @@
 //
 // UdpSocket is a thin RAII wrapper over a nonblocking IPv4/UDP socket
 // (loopback-oriented: bneckd and its clients talk over 127.0.0.1, one
-// wire frame per datagram).  UdpTransport is the wire transport::Daemon
-// and transport::SourceClient each own on top of it (contract in
-// transport.hpp): outbound packets are encoded through src/wire and
-// sent to a peer — a fixed endpoint for a client (everything goes to
-// the daemon) or a per-session endpoint resolved from the daemon's
-// session registry — and inbound datagrams are decoded and dispatched
-// by pump().
+// or more whole wire frames per datagram).  UdpTransport is the wire
+// transport::Daemon and transport::SourceClient each own on top of it
+// (contract in transport.hpp): outbound packets are encoded through
+// src/wire and sent to a peer — a fixed endpoint for a client
+// (everything goes to the daemon) or a per-session endpoint resolved
+// from the daemon's session registry — and inbound datagrams are
+// decoded and dispatched by pump().
 //
 // Unlike SimTransport there is no virtual time and no loss model: the
 // clock is CLOCK_MONOTONIC.  Every outbound Packet frame rides a
 // per-peer transport::ReliableChannel (Data/Ack frames, retransmit
 // timers, dedup) configured at construction, and set_fault_injector()
-// interposes a deterministic lossy network on every egress datagram —
+// interposes a deterministic lossy network on every egress frame —
 // including acks and control frames — so the repair machinery is
 // exercised end to end.  Inbound Data frames are acked, deduplicated
 // and delivered in order; bare Packet frames remain accepted for tests
 // and hostile-ingress probing.  Decode failures are counted and dropped
 // — a hostile or corrupted datagram must never take the process down.
 //
-// Datagrams move in batches of up to kBatch, still one frame each.
-// Ingress reads with recvmmsg; each receive batch ends with one
-// cumulative Ack per peer that sent any Data frame in it, fresh or
-// stale, so a stale arrival still provokes the ack that repairs its
-// sender.  Egress — reliable data and retransmits, acks, control
-// frames and the fault injector's releases — goes through one FIFO
-// queue flushed with sendmmsg: at the end of pump() and before it
-// blocks, and at the end of every send()/send_frame() made outside
-// pump().  No datagram stays queued when control returns to a caller.
+// Frames are coalesced into datagrams, and datagrams move in batches
+// of up to kBatch.  Egress — reliable data and retransmits, acks,
+// control frames and the fault injector's releases — goes through one
+// FIFO queue that packs consecutive frames for the same peer into
+// datagrams of at most kDatagramBytes (a longer frame travels alone),
+// flushed with sendmmsg: at the end of pump() and before it blocks, at
+// the end of every send()/send_frame() made outside pump(), and
+// mid-pump once kBatch closed datagrams wait.  No datagram stays
+// queued when control returns to a caller.  Ingress reads with
+// recvmmsg and decodes each datagram whole before delivering any of
+// its frames: one bad frame drops the datagram, counted as one decode
+// error.  Each receive batch ends with one cumulative Ack per peer
+// that sent any Data frame in it, fresh or stale, so a stale arrival
+// still provokes the ack that repairs its sender.
 #pragma once
 
 #include <cstdint>
@@ -108,6 +113,7 @@ class UdpTransport {
   /// Invoked for every decoded inbound frame with its source address.
   /// Reliable data arrives as kind Packet (exactly once, in order);
   /// Ack frames are consumed internally and never reach the handler.
+  /// It runs inside pump() and must not call pump() again.
   using FrameHandler =
       std::function<void(const wire::Frame&, const Endpoint& from)>;
 
@@ -116,6 +122,9 @@ class UdpTransport {
   static constexpr std::size_t kMaxPeers = 512;
   /// Datagrams per recvmmsg/sendmmsg call.
   static constexpr std::size_t kBatch = 32;
+  /// Most bytes of frames packed into one datagram: the UDP payload of
+  /// a 1,500-byte Ethernet frame.  A longer frame travels alone.
+  static constexpr std::size_t kDatagramBytes = 1472;
 
   /// Binds 127.0.0.1:`port` (0 = ephemeral) and reports to `sink`,
   /// which must outlive the wire.  Outbound packets ride per-peer
@@ -144,8 +153,9 @@ class UdpTransport {
     frame_handler_ = std::move(handler);
   }
 
-  /// Interposes `injector` on every egress datagram (not owned; may be
-  /// nullptr to remove).  Zero-cost when absent: one branch per send.
+  /// Interposes `injector` on every egress frame, before packing (not
+  /// owned; may be nullptr to remove).  Zero-cost when absent: one
+  /// branch per send.
   void set_fault_injector(FaultInjector* injector) { fault_ = injector; }
   [[nodiscard]] FaultInjector* fault_injector() const { return fault_; }
 
@@ -163,7 +173,7 @@ class UdpTransport {
   bool send_frame(const Endpoint& to, std::span<const std::uint8_t> bytes);
 
   /// Drains the local-handoff queue, then the socket in receive batches
-  /// (each closed by its coalesced acks), then fires due retransmit
+  /// (each closed by its acks), then fires due retransmit
   /// timers and releases due held frames; when nothing was processed,
   /// flushes the egress queue and waits up to `timeout_ms` (clamped to
   /// the earliest timer deadline) for the socket and drains again.
@@ -185,6 +195,15 @@ class UdpTransport {
   [[nodiscard]] std::uint64_t datagrams_received() const {
     return datagrams_received_;
   }
+  /// Frames in the datagrams the kernel accepted.
+  [[nodiscard]] std::uint64_t frames_sent() const { return frames_sent_; }
+  /// Frames in the datagrams that decoded; a rejected datagram counts
+  /// none.
+  [[nodiscard]] std::uint64_t frames_received() const {
+    return frames_received_;
+  }
+  /// Datagrams rejected whole: longer than wire::kMaxFrameBytes, or
+  /// refused by wire::decode_datagram.
   [[nodiscard]] std::uint64_t decode_errors() const { return decode_errors_; }
   [[nodiscard]] std::uint64_t unroutable() const { return unroutable_; }
   /// One per peer per receive batch that carried Data frames.
@@ -198,17 +217,22 @@ class UdpTransport {
 
  private:
   /// Per-peer go-back-N channel; its payloads are encoded Data frames.
-  using DatagramChannel = ReliableChannel<std::vector<std::uint8_t>>;
+  using FrameChannel = ReliableChannel<std::vector<std::uint8_t>>;
   struct Io;  // recvmmsg/sendmmsg headers and receive buffers (udp.cpp)
-  /// One queued egress datagram: its bytes live in tx_bytes_.
+  /// One queued egress datagram: its bytes live in tx_bytes_, which
+  /// holds max(kDatagramBytes, first frame) bytes of room for it.
   struct Queued {
     Endpoint to;
     std::size_t offset;
     std::size_t size;
+    std::uint64_t frames;
   };
 
   void drain_local();
   std::size_t drain_socket();
+  /// Acks, dedups and delivers one decoded inbound frame; returns
+  /// whether it reached the handler or the sink.
+  bool on_frame(wire::Frame& f, const Endpoint& from);
   /// One recvmmsg into io_; returns the datagram count (0 when idle).
   std::size_t recv_batch();
   /// Queues one cumulative Ack per peer in ack_due_.
@@ -217,14 +241,16 @@ class UdpTransport {
   [[nodiscard]] TimeNs next_timer_deadline() const;
   /// Egress tail: fault injector (if armed), then the queue.
   void egress(const Endpoint& to, std::span<const std::uint8_t> bytes);
-  /// Appends to the egress queue, flushing once a batch is full.
+  /// Packs one frame into the last queued datagram when it goes to
+  /// `to` and has room, else into a new one, flushing first when that
+  /// would make kBatch + 1 datagrams.
   void enqueue(const Endpoint& to, std::span<const std::uint8_t> bytes);
   /// Sends every queued datagram in FIFO order with sendmmsg; a refused
   /// datagram is wire loss, which the reliability sublayer repairs.
   void flush();
   /// Finds or creates the reliability channel for `ep`; nullptr when
   /// the peer table is full.
-  DatagramChannel* channel_for(const Endpoint& ep);
+  FrameChannel* channel_for(const Endpoint& ep);
 
   UdpSocket socket_;
   std::unique_ptr<Io> io_;
@@ -235,20 +261,23 @@ class UdpTransport {
   FrameHandler frame_handler_;
 
   ReliableConfig reliable_cfg_;
-  std::unordered_map<Endpoint, DatagramChannel, EndpointHash> channels_;
+  std::unordered_map<Endpoint, FrameChannel, EndpointHash> channels_;
   FaultInjector* fault_ = nullptr;
 
   std::deque<core::Packet> pending_;  // local() handoffs, FIFO
   std::vector<std::uint8_t> encode_buf_;
   std::vector<std::uint8_t> ack_buf_;
   /// Peers owed an ack at the end of the current receive batch.
-  std::vector<std::pair<Endpoint, DatagramChannel*>> ack_due_;
-  std::vector<Queued> tx_;  // egress FIFO
+  std::vector<std::pair<Endpoint, FrameChannel*>> ack_due_;
+  std::vector<Queued> tx_;  // egress datagrams, FIFO
   std::vector<std::uint8_t> tx_bytes_;
+  std::vector<wire::Frame> rx_frames_;  // the datagram being delivered
   bool pumping_ = false;  // inside pump(): its end flushes the queue
 
   std::uint64_t datagrams_sent_ = 0;
   std::uint64_t datagrams_received_ = 0;
+  std::uint64_t frames_sent_ = 0;
+  std::uint64_t frames_received_ = 0;
   std::uint64_t decode_errors_ = 0;
   std::uint64_t unroutable_ = 0;
   std::uint64_t acks_sent_ = 0;

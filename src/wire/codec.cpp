@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cmath>
+#include <utility>
 
 namespace bneck::wire {
 
@@ -77,6 +78,48 @@ DecodeResult err(const char* what) {
   DecodeResult r;
   r.error = what;
   return r;
+}
+
+// Reads the length of the frame at the start of `bytes` into `len`;
+// returns why no frame starts there, or nullptr.
+const char* split_frame(std::span<const std::uint8_t> bytes,
+                        std::size_t& len) {
+  if (bytes.size() < kHeaderBytes) return "frame shorter than header";
+  if (bytes[0] != kMagic0 || bytes[1] != kMagic1) return "bad magic";
+  if (bytes[2] != kWireVersion) return "unsupported wire version";
+  if (bytes[3] >= static_cast<std::uint8_t>(kFrameKindCount)) {
+    return "unknown frame kind";
+  }
+  const auto kind = static_cast<FrameKind>(bytes[3]);
+  switch (kind) {
+    case FrameKind::StatusRequest:
+    case FrameKind::Shutdown:
+      len = kControlFrameBytes;
+      break;
+    case FrameKind::StatusReply:
+      len = kStatusReplyBytes;
+      break;
+    case FrameKind::Ack:
+      len = kAckFrameBytes;
+      break;
+    case FrameKind::Heartbeat:
+      len = kHeartbeatFrameBytes;
+      break;
+    case FrameKind::Packet:
+    case FrameKind::Data: {
+      // Sized by the path length at offset 20 of the Packet frame (the
+      // wrapped one, for Data).
+      const bool data = kind == FrameKind::Data;
+      const std::size_t at = data ? kDataPrefixBytes : 0;
+      if (bytes.size() < at + 24) return "truncated packet frame";
+      const std::uint32_t path_len = get_u32(bytes, at + 20);
+      if (path_len > kMaxPathLinks) return "path suffix too long";
+      len = at + kPacketFrameBytes + 4 * std::size_t{path_len} +
+            (data ? kChecksumBytes : 0);
+      break;
+    }
+  }
+  return len > bytes.size() ? "truncated frame" : nullptr;
 }
 
 }  // namespace
@@ -170,22 +213,18 @@ void encode_shutdown(std::vector<std::uint8_t>& out) {
 }
 
 DecodeResult decode(std::span<const std::uint8_t> bytes) {
-  if (bytes.size() < kHeaderBytes) return err("frame shorter than header");
-  if (bytes[0] != kMagic0 || bytes[1] != kMagic1) return err("bad magic");
-  if (bytes[2] != kWireVersion) return err("unsupported wire version");
-  if (bytes[3] >= static_cast<std::uint8_t>(kFrameKindCount)) {
-    return err("unknown frame kind");
-  }
+  // The header and the frame's length are split_frame's rules; the
+  // frame must fill the buffer exactly.
+  std::size_t len = 0;
+  if (const char* error = split_frame(bytes, len)) return err(error);
+  if (len != bytes.size()) return err("trailing bytes after the frame");
   DecodeResult r;
   r.frame.kind = static_cast<FrameKind>(bytes[3]);
 
   // Every non-Packet frame ends with a checksum over the rest; verify
   // it before trusting any field.
   if (r.frame.kind != FrameKind::Packet) {
-    if (bytes.size() < kHeaderBytes + kChecksumBytes) {
-      return err("frame shorter than checksum trailer");
-    }
-    const std::size_t body = bytes.size() - kChecksumBytes;
+    const std::size_t body = len - kChecksumBytes;
     if (fnv1a(bytes.first(body)) != get_u32(bytes, body)) {
       return err("frame checksum mismatch");
     }
@@ -194,13 +233,9 @@ DecodeResult decode(std::span<const std::uint8_t> bytes) {
   switch (r.frame.kind) {
     case FrameKind::StatusRequest:
     case FrameKind::Shutdown:
-      if (bytes.size() != kControlFrameBytes) return err("trailing bytes");
       return r;
 
     case FrameKind::StatusReply: {
-      if (bytes.size() != kStatusReplyBytes) {
-        return err("bad status-reply length");
-      }
       if (bytes[4] > 1) return err("bad stable flag");
       if (bytes[5] != 0 || bytes[6] != 0 || bytes[7] != 0) {
         return err("nonzero reserved bytes");
@@ -218,28 +253,19 @@ DecodeResult decode(std::span<const std::uint8_t> bytes) {
     }
 
     case FrameKind::Ack:
-      if (bytes.size() != kAckFrameBytes) return err("bad ack length");
       r.frame.seq = get_u64(bytes, 4);
       return r;
 
     case FrameKind::Heartbeat:
-      if (bytes.size() != kHeartbeatFrameBytes) {
-        return err("bad heartbeat length");
-      }
       r.frame.heartbeat_sessions = get_u32(bytes, 4);
       return r;
 
     case FrameKind::Data: {
-      if (bytes.size() <
-          kDataPrefixBytes + kPacketFrameBytes + kChecksumBytes) {
-        return err("truncated data frame");
-      }
       const std::uint64_t seq = get_u64(bytes, 4);
       // The wrapped frame must be exactly one Packet frame — no nested
       // reliability, no control frames riding the sequenced stream.
       DecodeResult inner = decode(bytes.subspan(
-          kDataPrefixBytes,
-          bytes.size() - kDataPrefixBytes - kChecksumBytes));
+          kDataPrefixBytes, len - kDataPrefixBytes - kChecksumBytes));
       if (!inner.ok()) return inner;
       if (inner.frame.kind != FrameKind::Packet) {
         return err("data frame wraps a non-packet frame");
@@ -254,7 +280,6 @@ DecodeResult decode(std::span<const std::uint8_t> bytes) {
       break;
   }
 
-  if (bytes.size() < kPacketFrameBytes) return err("truncated packet frame");
   if (bytes[4] >= static_cast<std::uint8_t>(core::kPacketTypeCount)) {
     return err("packet type out of range");
   }
@@ -288,10 +313,6 @@ DecodeResult decode(std::span<const std::uint8_t> bytes) {
   if (p.type == core::PacketType::Join && path_len < 2) {
     return err("Join without a session path");
   }
-  if (path_len > kMaxPathLinks) return err("path suffix too long");
-  if (bytes.size() != kPacketFrameBytes + 4 * std::size_t{path_len}) {
-    return err("frame length does not match path length");
-  }
   r.frame.path.reserve(path_len);
   for (std::uint32_t i = 0; i < path_len; ++i) {
     const std::int32_t link = get_i32(bytes, kPacketFrameBytes + 4 * i);
@@ -299,6 +320,27 @@ DecodeResult decode(std::span<const std::uint8_t> bytes) {
     r.frame.path.push_back(LinkId{link});
   }
   return r;
+}
+
+const char* decode_datagram(std::span<const std::uint8_t> bytes,
+                            std::vector<Frame>& frames) {
+  frames.clear();
+  if (bytes.empty()) return "frame shorter than header";
+  while (!bytes.empty()) {
+    std::size_t len = 0;
+    const char* error = split_frame(bytes, len);
+    if (error == nullptr) {
+      DecodeResult r = decode(bytes.first(len));
+      error = r.error;
+      if (r.ok()) frames.push_back(std::move(r.frame));
+    }
+    if (error != nullptr) {
+      frames.clear();
+      return error;
+    }
+    bytes = bytes.subspan(len);
+  }
+  return nullptr;
 }
 
 }  // namespace bneck::wire

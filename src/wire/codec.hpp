@@ -54,6 +54,12 @@
 // are all validated, and violations come back as an expect-style error
 // string instead of an exception or abort — a hostile or corrupted
 // datagram must never take the daemon down.
+//
+// A datagram carries one or more whole frames back to back.  No frame
+// has a length field of its own: decode_datagram() reads each length
+// from its frame's header (kind, and the path length of a Packet frame
+// or of a Data frame's wrapped Packet frame), splits the datagram that
+// way and decodes every frame, all or nothing.
 #pragma once
 
 #include <array>
@@ -68,10 +74,12 @@ namespace bneck::wire {
 
 inline constexpr std::uint8_t kMagic0 = 0x42;  // 'B'
 inline constexpr std::uint8_t kMagic1 = 0x4E;  // 'N'
-// v2: reliability sublayer (Data/Ack/Heartbeat) + StatusReply drop
-// counters.  Bumped from v1 (PR 6); no negotiation, both sides upgrade
-// together (docs/wire_format.md#versioning).
-inline constexpr std::uint8_t kWireVersion = 2;
+// v3: a datagram may carry several frames back to back.  v2 added the
+// reliability sublayer (Data/Ack/Heartbeat) and the StatusReply drop
+// counters.  No negotiation: both sides upgrade together, and a v2
+// peer rejects every v3 frame by its version byte
+// (docs/wire_format.md#versioning).
+inline constexpr std::uint8_t kWireVersion = 3;
 
 inline constexpr std::size_t kHeaderBytes = 4;
 inline constexpr std::size_t kPacketFrameBytes = 40;
@@ -91,6 +99,12 @@ inline constexpr std::size_t kControlFrameBytes =
 inline constexpr std::int32_t kMaxHop = 4096;
 /// Ingress sanity bound on the Join path suffix.
 inline constexpr std::size_t kMaxPathLinks = 4096;
+/// The longest legal frame: a Data frame wrapping a Join that carries
+/// kMaxPathLinks path links.
+inline constexpr std::size_t kMaxFrameBytes = kDataPrefixBytes +
+                                              kPacketFrameBytes +
+                                              4 * kMaxPathLinks +
+                                              kChecksumBytes;
 
 enum class FrameKind : std::uint8_t {
   Packet = 0,
@@ -198,12 +212,19 @@ void encode_shutdown(std::vector<std::uint8_t>& out);
 
 // ---- decoder ----
 
-/// Decodes one datagram.  Validates framing, enum ranges, hop/id bounds
+/// Decodes one frame.  Validates framing, enum ranges, hop/id bounds
 /// and float sanity; accepts exactly one frame per buffer (trailing
 /// bytes are an error).  A Data frame's wrapped Packet frame is decoded
 /// and validated recursively (it must itself be a Packet frame — no
 /// nesting).  decode(encode(f)) reproduces f for every frame the
 /// protocol emits.
 [[nodiscard]] DecodeResult decode(std::span<const std::uint8_t> bytes);
+
+/// Decodes a datagram of one or more frames into `frames` (cleared
+/// first), in order.  All or nothing: if any frame cannot be split off
+/// or decoded, `frames` is left empty and the first violated rule is
+/// returned.  Returns nullptr on success; an empty datagram is an error.
+[[nodiscard]] const char* decode_datagram(std::span<const std::uint8_t> bytes,
+                                          std::vector<Frame>& frames);
 
 }  // namespace bneck::wire

@@ -13,7 +13,9 @@
 // the centralized max-min rates.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <type_traits>
 #include <vector>
 
 #include "core/bneck.hpp"
@@ -237,13 +239,18 @@ TEST(BneckStress, WildCapacitySpread) {
 
 // ---- randomized event fuzzing ----
 
+// GoogleTest names each case of this suite by the raw bytes of its
+// parameter, so every byte is a named, zeroed field: the case names
+// (the ctest ids) are the same in every build.
 struct FuzzParam {
   std::uint64_t seed;
   std::int32_t routers;
   std::int32_t hosts;
   std::int32_t events;
   bool wan;
+  std::array<std::uint8_t, 3> zero{};
 };
+static_assert(std::has_unique_object_representations_v<FuzzParam>);
 
 class BneckFuzz : public ::testing::TestWithParam<FuzzParam> {};
 

@@ -9,8 +9,10 @@
 //       reactivation on dynamics).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <map>
 #include <sstream>
+#include <type_traits>
 #include <vector>
 
 #include "core/bneck.hpp"
@@ -454,6 +456,9 @@ TEST(Bneck, TransientsConservativeOnceJoinsHaveDrained) {
 
 // ---- random sweep: distributed == centralized ----
 
+// GoogleTest names each case of this suite by the raw bytes of its
+// parameter, so every byte is a named, zeroed field: the case names
+// (the ctest ids) are the same in every build.
 struct ProtoSweepParam {
   std::uint64_t seed;
   std::int32_t routers;
@@ -461,7 +466,9 @@ struct ProtoSweepParam {
   bool wan;
   bool with_demands;
   bool churn;  // leave/change a third of the sessions mid-run
+  std::array<std::uint8_t, 5> zero{};
 };
+static_assert(std::has_unique_object_representations_v<ProtoSweepParam>);
 
 class BneckSweep : public ::testing::TestWithParam<ProtoSweepParam> {};
 
@@ -667,12 +674,17 @@ TEST(BneckShared, ChurnWithSharedSourcesMatchesCentralized) {
   EXPECT_EQ(h.bneck.active_sessions(), 6u);
 }
 
+// GoogleTest names each case of this suite by the raw bytes of its
+// parameter, so every byte is a named, zeroed field: the case names
+// (the ctest ids) are the same in every build.
 struct SharedSweepParam {
   std::uint64_t seed;
   std::int32_t routers;
   std::int32_t hosts;
   std::int32_t sessions;
+  std::int32_t zero = 0;
 };
+static_assert(std::has_unique_object_representations_v<SharedSweepParam>);
 
 class BneckSharedSweep : public ::testing::TestWithParam<SharedSweepParam> {};
 

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdio>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -296,6 +298,52 @@ TEST(DaemonLoopback, RouterPlaneTablesAuditCleanAndDrainOnLeave) {
     return daemon.active_sessions() == 0 && daemon.stable() && records() == 0;
   })) << records() << " records left in the router plane";
   audit_all();
+}
+
+// `bneckd --summary-ms`: each period the daemon prints one stderr line
+// whose frames= and datagrams= count the wire in both directions.
+TEST(DaemonSummary, LineReportsFramesAndDatagrams) {
+  const net::Network net = make_net();
+  DaemonOptions dopt;
+  dopt.summary_period = milliseconds(1);
+  Daemon daemon(net, dopt);
+  ClientOptions copt;
+  copt.heartbeat_period = 0;
+  SourceClient client(net, daemon.endpoint(), copt);
+  client.join(SessionId{0},
+              *net::PathFinder(net).shortest_path(net.hosts()[0],
+                                                  net.hosts()[3]),
+              kRateInfinity);
+  testing::internal::CaptureStderr();
+  for (int i = 0; i < 2000 && !client.sources_stable(); ++i) {
+    daemon.step(0);
+    client.poll(0);
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  daemon.step(0);  // a period has passed: the last line sees every frame
+  const std::string out = testing::internal::GetCapturedStderr();
+  ASSERT_TRUE(client.sources_stable());
+
+  const std::size_t last = out.rfind("bneckd: ");
+  ASSERT_NE(last, std::string::npos) << out;
+  unsigned sessions = 0;
+  unsigned long long frames = 0, datagrams = 0;
+  const std::string line = out.substr(last);
+  ASSERT_EQ(std::sscanf(line.c_str(), "bneckd: sessions=%u", &sessions), 1)
+      << line;
+  const std::size_t at = line.find(" frames=");
+  ASSERT_NE(at, std::string::npos) << line;
+  ASSERT_EQ(std::sscanf(line.c_str() + at, " frames=%llu datagrams=%llu",
+                        &frames, &datagrams),
+            2)
+      << line;
+  EXPECT_EQ(sessions, 1u);
+  const UdpTransport& wire = daemon.transport();
+  EXPECT_EQ(frames, wire.frames_sent() + wire.frames_received());
+  EXPECT_EQ(datagrams, wire.datagrams_sent() + wire.datagrams_received());
+  EXPECT_GT(datagrams, 0u);
+  EXPECT_GE(frames, datagrams);
+  EXPECT_NE(line.find(" rejects=none"), std::string::npos) << line;
 }
 
 }  // namespace

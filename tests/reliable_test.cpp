@@ -321,15 +321,15 @@ TEST(FaultInjector, ScheduleIsAPureFunctionOfTheSeed) {
   EXPECT_EQ(a.counters(), b.counters());
   EXPECT_NE(ta, tc);  // different seed: different schedule
 
-  // Every configured fate actually fired over 400 datagrams.
+  // Every configured fate actually fired over 400 frames.
   const FaultCounters& n = a.counters();
-  EXPECT_EQ(n.datagrams, 400u);
+  EXPECT_EQ(n.frames, 400u);
   EXPECT_GT(n.dropped, 0u);
   EXPECT_GT(n.duplicated, 0u);
   EXPECT_GT(n.reordered, 0u);
   EXPECT_GT(n.corrupted, 0u);
   EXPECT_GT(n.delayed, 0u);
-  EXPECT_EQ(n.datagrams, n.passed + n.dropped + n.duplicated + n.reordered +
+  EXPECT_EQ(n.frames, n.passed + n.dropped + n.duplicated + n.reordered +
                              n.corrupted + n.delayed);
 }
 
@@ -501,7 +501,7 @@ TEST(ComplianceUnderFaults, ConvergesToSolverRatesOverALossyWire) {
     const auto r = check::run_compliance_seed(seed, opt);
     EXPECT_TRUE(r.ok) << "seed " << seed << ": " << r.failure;
     // The injector must have actually interfered.
-    EXPECT_GT(r.client_faults.datagrams, 0u) << "seed " << seed;
+    EXPECT_GT(r.client_faults.frames, 0u) << "seed " << seed;
     EXPECT_GT(r.client_faults.dropped + r.client_faults.corrupted, 0u)
         << "seed " << seed;
   }

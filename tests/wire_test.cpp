@@ -1,13 +1,14 @@
 // Wire-codec tests: round-trips over every packet type, exhaustive
-// truncation, and field-by-field malformed-input rejection (the daemon
+// truncation, field-by-field malformed-input rejection (the daemon
 // ingress hardening contract: decode() trusts nothing and never
-// throws).  The seeded fuzz campaigns behind `bneck_check
+// throws), and datagrams of several frames, decoded all or nothing.  The seeded fuzz campaigns behind `bneck_check
 // --codec-seeds` run here too, so a codec regression fails ctest before
 // any fuzzing infrastructure is involved.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <span>
 #include <vector>
 
 #include "check/codec_fuzz.hpp"
@@ -351,11 +352,149 @@ TEST(WireCodec, RejectsBadStatusReply) {
   EXPECT_FALSE(decode(mutated).ok());  // short frame
 }
 
+// ---- datagrams: several frames back to back ----
+
+/// One frame of every kind, each encoded alone.
+std::vector<std::vector<std::uint8_t>> one_of_each_kind() {
+  std::vector<std::vector<std::uint8_t>> frames(8);
+  Packet join = sample_packet(PacketType::Join);
+  join.hop = 1;
+  encode_data(5, encode_one(sample_packet(PacketType::Probe)), frames[0]);
+  encode_ack(6, frames[1]);
+  encode_heartbeat(3, frames[2]);
+  encode_data(6, encode_one(join, sample_path()), frames[3]);
+  StatusReply st;
+  st.stable = true;
+  st.active_sessions = 9;
+  encode_status_reply(st, frames[4]);
+  frames[5] = encode_one(sample_packet(PacketType::Response));
+  encode_status_request(frames[6]);
+  encode_shutdown(frames[7]);
+  return frames;
+}
+
+std::vector<std::uint8_t> concat(
+    const std::vector<std::vector<std::uint8_t>>& frames) {
+  std::vector<std::uint8_t> out;
+  for (const auto& f : frames) out.insert(out.end(), f.begin(), f.end());
+  return out;
+}
+
+TEST(WireDatagram, CoalescedFramesRoundTripFrameForFrame) {
+  const auto frames = one_of_each_kind();
+  const auto datagram = concat(frames);
+  std::vector<Frame> out;
+  ASSERT_EQ(decode_datagram(datagram, out), nullptr);
+  ASSERT_EQ(out.size(), frames.size());
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    const DecodeResult alone = decode(frames[i]);
+    ASSERT_TRUE(alone.ok()) << alone.error;
+    EXPECT_EQ(out[i].kind, alone.frame.kind) << "frame " << i;
+    EXPECT_EQ(out[i].seq, alone.frame.seq) << "frame " << i;
+    EXPECT_EQ(out[i].path, alone.frame.path) << "frame " << i;
+    EXPECT_EQ(out[i].status, alone.frame.status) << "frame " << i;
+    EXPECT_EQ(out[i].heartbeat_sessions, alone.frame.heartbeat_sessions);
+    EXPECT_EQ(out[i].packet.type, alone.frame.packet.type) << "frame " << i;
+    EXPECT_EQ(out[i].packet.lambda, alone.frame.packet.lambda);
+  }
+  EXPECT_EQ(out[3].path, sample_path());
+  EXPECT_TRUE(out[4].status.stable);
+}
+
+TEST(WireDatagram, TruncatedLastFrameRejectsTheWholeDatagram) {
+  const auto frames = one_of_each_kind();
+  const auto full = concat(frames);
+  std::vector<Frame> out;
+  // Every cut inside every frame, the last ones included: nothing of
+  // the datagram decodes.
+  for (std::size_t cut = 1; cut < full.size(); ++cut) {
+    std::size_t boundary = 0;
+    bool on_boundary = false;
+    for (const auto& f : frames) {
+      boundary += f.size();
+      on_boundary = on_boundary || boundary == cut;
+    }
+    if (on_boundary) continue;
+    const std::span<const std::uint8_t> prefix(full.data(), cut);
+    EXPECT_NE(decode_datagram(prefix, out), nullptr) << "cut " << cut;
+    EXPECT_TRUE(out.empty()) << "cut " << cut;
+  }
+  // Cut on a frame boundary, the datagram is the frames before it.
+  const std::span<const std::uint8_t> two(
+      full.data(), frames[0].size() + frames[1].size());
+  ASSERT_EQ(decode_datagram(two, out), nullptr);
+  EXPECT_EQ(out.size(), 2u);
+}
+
+TEST(WireDatagram, GarbageAfterValidFramesRejectsTheWholeDatagram) {
+  const auto good = concat(one_of_each_kind());
+  std::vector<Frame> out;
+  const std::vector<std::vector<std::uint8_t>> tails = {
+      {0},
+      {kMagic0, kMagic1},
+      {kMagic0, kMagic1, kWireVersion, 9},
+      {kMagic0, kMagic1, kWireVersion - 1, 0, 0, 0, 0, 0},
+      std::vector<std::uint8_t>(64, 0xab),
+  };
+  for (const auto& tail : tails) {
+    auto datagram = good;
+    datagram.insert(datagram.end(), tail.begin(), tail.end());
+    EXPECT_NE(decode_datagram(datagram, out), nullptr)
+        << tail.size() << "-byte tail";
+    EXPECT_TRUE(out.empty());
+  }
+  // A frame that decodes alone but fails inside a datagram still drops
+  // its neighbours: here a checksum flipped in the middle frame.
+  auto frames = one_of_each_kind();
+  frames[2].back() ^= 0x40;
+  EXPECT_STREQ(decode_datagram(concat(frames), out),
+               "frame checksum mismatch");
+  EXPECT_TRUE(out.empty());
+  EXPECT_STREQ(decode_datagram({}, out), "frame shorter than header");
+}
+
+TEST(WireDatagram, SingleFrameStillDecodesThroughDecode) {
+  for (const auto& frame : one_of_each_kind()) {
+    EXPECT_EQ(frame[2], kWireVersion);
+    EXPECT_TRUE(decode(frame).ok());
+    std::vector<Frame> out;
+    ASSERT_EQ(decode_datagram(frame, out), nullptr);
+    EXPECT_EQ(out.size(), 1u);
+  }
+  // decode() keeps its one-frame, exact-length contract.
+  const auto two = concat({encode_one(sample_packet(PacketType::Probe)),
+                           encode_one(sample_packet(PacketType::Probe))});
+  EXPECT_STREQ(decode(two).error, "trailing bytes after the frame");
+  // A v2 frame is refused by its version byte, alone or coalesced.
+  auto v2 = encode_one(sample_packet(PacketType::Probe));
+  v2[2] = 2;
+  EXPECT_STREQ(decode(v2).error, "unsupported wire version");
+  std::vector<Frame> out;
+  EXPECT_STREQ(decode_datagram(v2, out), "unsupported wire version");
+}
+
+TEST(WireDatagram, LongestFrameIsKMaxFrameBytesAndDecodesAlone) {
+  Packet join = sample_packet(PacketType::Join);
+  join.hop = 1;
+  std::vector<std::uint8_t> longest, inner;
+  encode_packet(join, std::vector<LinkId>(kMaxPathLinks, LinkId{1}), inner);
+  encode_data(0, inner, longest);
+  EXPECT_EQ(longest.size(), kMaxFrameBytes);
+  std::vector<Frame> out;
+  ASSERT_EQ(decode_datagram(longest, out), nullptr);
+  EXPECT_EQ(out.size(), 1u);
+  std::vector<LinkId> huge(kMaxPathLinks + 1, LinkId{1});
+  EXPECT_STREQ(decode_datagram(encode_one(join, huge), out),
+               "path suffix too long");
+  EXPECT_TRUE(out.empty());
+}
+
 TEST(WireCodec, SeededFuzzCampaignsPass) {
   for (std::uint64_t seed = 0; seed < 32; ++seed) {
     const auto r = check::run_codec_seed(seed);
     EXPECT_TRUE(r.ok()) << "seed " << seed << ": " << r.failure;
     EXPECT_GT(r.frames, 0u);
+    EXPECT_GT(r.datagrams, 0u);
     EXPECT_GT(r.rejected, 0u);  // mutations must actually get rejected
   }
 }

@@ -43,7 +43,8 @@ void usage(const char* argv0) {
       "usage: %s [--seeds A..B | --replay \"<spec>\"] [options]\n"
       "  --seeds A..B          seed range, inclusive (default 0..100)\n"
       "  --codec-seeds A..B    fuzz the wire codec instead (src/wire):\n"
-      "                        round-trips + mutated/garbage datagrams\n"
+      "                        round-trips + mutated/garbage frames,\n"
+      "                        alone and coalesced into datagrams\n"
       "  --compliance A..B     live-network mode: replay each seed's\n"
       "                        scenario against a forked bneckd over\n"
       "                        127.0.0.1 and check rates vs the solver\n"
@@ -270,10 +271,11 @@ int main(int argc, char** argv) {
 int run(const Args& args) {
   if (args.codec_mode) {
     int failures = 0;
-    std::uint64_t frames = 0, mutations = 0, rejected = 0;
+    std::uint64_t frames = 0, datagrams = 0, mutations = 0, rejected = 0;
     for (std::uint64_t s = args.seed_first; s <= args.seed_last; ++s) {
       const auto r = bneck::check::run_codec_seed(s);
       frames += r.frames;
+      datagrams += r.datagrams;
       mutations += r.mutations;
       rejected += r.rejected;
       if (!r.ok()) {
@@ -284,16 +286,17 @@ int run(const Args& args) {
                     s);
       } else if (args.verbose) {
         std::printf("[ ok ] codec seed %" PRIu64 ": %" PRIu64
-                    " round-trips, %" PRIu64 " mutations (%" PRIu64
-                    " rejected)\n",
-                    s, r.frames, r.mutations, r.rejected);
+                    " round-trips, %" PRIu64 " datagrams, %" PRIu64
+                    " mutations (%" PRIu64 " rejected)\n",
+                    s, r.frames, r.datagrams, r.mutations, r.rejected);
       }
     }
     std::printf("bneck_check: codec fuzz, %" PRIu64 " seeds, %" PRIu64
-                " round-trips, %" PRIu64 " mutated/garbage frames (%" PRIu64
+                " round-trips, %" PRIu64 " multi-frame datagrams, %" PRIu64
+                " mutated/garbage buffers (%" PRIu64
                 " rejected), %d failure(s)\n",
-                args.seed_last - args.seed_first + 1, frames, mutations,
-                rejected, failures);
+                args.seed_last - args.seed_first + 1, frames, datagrams,
+                mutations, rejected, failures);
     return failures > 0 ? 1 : 0;
   }
 
@@ -328,7 +331,7 @@ int run(const Args& args) {
                     faulted ? copt.faults->to_string().c_str() : "");
       } else if (args.verbose) {
         std::printf("[ ok ] compliance seed %" PRIu64 ": %u session(s), "
-                    "%" PRIu64 " datagrams, %" PRIu64 " retx, %d nudge(s)\n",
+                    "%" PRIu64 " frames, %" PRIu64 " retx, %d nudge(s)\n",
                     s, r.sessions_checked, r.wire_frames, r.retransmissions,
                     r.nudges);
       }
@@ -336,13 +339,13 @@ int run(const Args& args) {
     if (faulted) {
       std::printf("bneck_check: compliance under faults, %" PRIu64
                   " seeds, %" PRIu64 " sessions checked, %" PRIu64
-                  " datagrams, %" PRIu64 " client frames dropped/corrupted, "
+                  " frames, %" PRIu64 " client frames dropped/corrupted, "
                   "%" PRIu64 " retransmissions, %d failure(s)\n",
                   args.seed_last - args.seed_first + 1, sessions, frames,
                   dropped, retx, failures);
     } else {
       std::printf("bneck_check: compliance, %" PRIu64 " seeds, %" PRIu64
-                  " sessions checked, %" PRIu64 " datagrams, %d failure(s)\n",
+                  " sessions checked, %" PRIu64 " frames, %d failure(s)\n",
                   args.seed_last - args.seed_first + 1, sessions, frames,
                   failures);
     }

@@ -1,9 +1,9 @@
 // bneckd — the B-Neck router plane as a standalone daemon.
 //
 // Serves one network's RouterLink tasks plus the destination echo over
-// UDP loopback (src/wire format, one frame per datagram); source-node
-// clients (transport/client.hpp) drive sessions against it with
-// Join/Probe/Leave.  The topology comes from a scenario spec — the same
+// UDP loopback (src/wire format, frames coalesced into datagrams);
+// source-node clients (transport/client.hpp) drive sessions against it
+// with Join/Probe/Leave.  The topology comes from a scenario spec — the same
 // `v1 topo=... a=... ...` string bneck_check emits and replays — whose
 // event list, if any, is ignored: bneckd only builds the network.
 //
