@@ -9,16 +9,8 @@
 //   --seed <n>    RNG seed
 //   --threads <n> worker threads for independent sweep points (0 = all
 //                 cores).  Results are byte-identical at any thread count.
-//   --shards <k>  exp2_dynamics only: run the simulation on k >= 1
-//                 worker shards of the conservative parallel engine
-//                 (default 1, the single-thread engine).  A fixed k > 1
-//                 is deterministic, but same-instant cross-shard ties
-//                 reorder, so packet counts drift from k = 1
-//                 (docs/architecture.md).
-//   --full        exp1_quiescence only: add the paper-size sweep points
-//                 (elsewhere the paper size is a --scale value).
-// A flag a bench does not take, a missing value or a malformed or
-// negative number is rejected with a one-line message and exit status 2.
+// Any other flag, a missing value or a malformed or negative number is
+// rejected with a one-line message and exit status 2.
 #pragma once
 
 #include <cerrno>
@@ -28,7 +20,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
-#include <string>
 
 namespace bneck::benchutil {
 
@@ -53,42 +44,25 @@ inline bool parse_count(const char* text, std::uint64_t max,
   return errno != ERANGE && *end == '\0' && out <= max;
 }
 
-/// What one bench takes beyond --scale/--seed/--threads (any other flag
-/// is refused as unknown), and its scale when --scale is absent.
-struct Accepts {
-  bool shards = false;
-  bool full = false;
-  double default_scale = 1.0;
-};
-
 struct Args {
   double scale = 1.0;
   std::uint64_t seed = 1;
-  bool full = false;        // exp1_quiescence's paper-size sweep points
   std::size_t threads = 0;  // 0 = workload::default_parallelism()
-  std::int32_t shards = 1;  // 1 = single-thread engine
 
-  static Args parse(int argc, char** argv, Accepts accepts = {}) {
-    std::string usage_text = "[--scale <f>] [--seed <n>] [--threads <n>]";
-    if (accepts.shards) usage_text += " [--shards <k>]";
-    if (accepts.full) usage_text += " [--full]";
-    const char* usage = usage_text.c_str();
+  /// `default_scale` is the bench's scale when --scale is absent.
+  static Args parse(int argc, char** argv, double default_scale = 1.0) {
+    const char* usage = "[--scale <f>] [--seed <n>] [--threads <n>]";
     Args a;
-    a.scale = accepts.default_scale;
+    a.scale = default_scale;
     for (int i = 1; i < argc; ++i) {
       const char* flag = argv[i];
-      if (accepts.full && std::strcmp(flag, "--full") == 0) {
-        a.full = true;
-        continue;
-      }
       if (std::strcmp(flag, "--help") == 0) {
         std::printf("usage: %s %s\n", argv[0], usage);
         std::exit(0);
       }
       const bool known = std::strcmp(flag, "--scale") == 0 ||
                          std::strcmp(flag, "--seed") == 0 ||
-                         std::strcmp(flag, "--threads") == 0 ||
-                         (accepts.shards && std::strcmp(flag, "--shards") == 0);
+                         std::strcmp(flag, "--threads") == 0;
       if (!known) usage_error(argv[0], usage, "unknown flag", flag);
       if (i + 1 == argc) usage_error(argv[0], usage, "missing value for", flag);
       const char* value = argv[++i];
@@ -102,13 +76,9 @@ struct Args {
       } else if (std::strcmp(flag, "--seed") == 0) {
         ok = parse_count(value, std::numeric_limits<std::uint64_t>::max(), n);
         a.seed = n;
-      } else if (std::strcmp(flag, "--threads") == 0) {
+      } else {
         ok = parse_count(value, std::numeric_limits<std::int32_t>::max(), n);
         a.threads = static_cast<std::size_t>(n);
-      } else {
-        ok = parse_count(value, std::numeric_limits<std::int32_t>::max(), n) &&
-             n >= 1;
-        a.shards = static_cast<std::int32_t>(n);
       }
       if (!ok) usage_error(argv[0], usage, "bad value", value, flag);
     }

@@ -8,7 +8,8 @@
 //
 // Paper scale sweeps N up to 300,000; the default here sweeps to 5,000
 // (Small/Medium) and 1,000 (Big) so the whole binary runs in well under
-// a minute.  --full enables the 20k/50k points, --scale multiplies N.
+// a minute.  --scale multiplies every N: --scale 10 takes the 5,000
+// point to 50,000.
 //
 // Expected shape (paper §IV, Fig. 5): time is near-flat for small N and
 // grows roughly linearly once sessions interact heavily; WAN curves are
@@ -72,24 +73,18 @@ RunResult run(const std::string& preset, topo::DelayModel delay,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto args = benchutil::Args::parse(argc, argv, {.full = true});
+  const auto args = benchutil::Args::parse(argc, argv);
   benchutil::banner("Figure 5", "time until quiescence and packets sent vs #sessions");
 
   struct Sweep {
     const char* preset;
     std::vector<std::int32_t> sessions;
   };
-  std::vector<Sweep> sweeps{
+  const std::vector<Sweep> sweeps{
       {"small", {10, 100, 1000, 5000}},
       {"medium", {10, 100, 1000, 5000}},
       {"big", {10, 100, 1000}},
   };
-  if (args.full) {
-    sweeps[0].sessions.push_back(20000);
-    sweeps[1].sessions.push_back(20000);
-    sweeps[1].sessions.push_back(50000);
-    sweeps[2].sessions.push_back(5000);
-  }
 
   // Every sweep point builds its own network, workload and simulator
   // from (preset, delay, N, seed) alone, so the grid fans out over the

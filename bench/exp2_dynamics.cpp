@@ -8,18 +8,6 @@
 // paper's population (10k/2k join phases, --scale 0.1); --scale 1 is
 // the paper's.
 //
-// --shards <k> runs the workload on k worker shards of the conservative
-// parallel engine (core::ShardedBneck; default 1, the single-thread
-// engine).  The determinism contract (docs/architecture.md): at k = 1
-// the figure output on stdout is bench/golden/exp2_dynamics.txt byte for
-// byte; at a fixed k > 1 it is deterministic (identical run to run) but
-// may drift from k = 1 by well under 1% in per-phase packet counts and
-// quiescence times, because same-instant packets from different shards
-// are ordered by (shard, seq) rather than by global seq (at --scale 0.1
-// --seed 1, k = 4 sends 17,899,377 packets against 17,909,501 at k = 1).
-// Converged rates are exact at every k.  Engine diagnostics go to
-// stderr so A/B comparisons can diff stdout directly.
-//
 // Expected shape: a burst of Join/Probe/Response traffic at each phase
 // start that dies out completely (quiescence) before the next phase;
 // phase durations of the same order regardless of the churn type.
@@ -58,7 +46,7 @@ void run_phases_and_report(workload::DynamicsRunner& runner,
   summary.print(std::cout);
 
   // The Figure-6 series proper: packets per type per 5 ms bin.
-  const auto bins = runner.bins();
+  const auto& bins = runner.bins();
   std::printf("\npackets per 5ms interval by type:\n");
   stats::Table series({"t[ms]", "Join", "Probe", "Response", "Update",
                        "Bottleneck", "SetBneck", "Leave", "total"});
@@ -85,8 +73,7 @@ void run_phases_and_report(workload::DynamicsRunner& runner,
 
 int main(int argc, char** argv) {
   // Default: 1/10 of the paper's population; --scale 1 is paper size.
-  const auto args = benchutil::Args::parse(
-      argc, argv, {.shards = true, .default_scale = 0.1});
+  const auto args = benchutil::Args::parse(argc, argv, 0.1);
   benchutil::banner("Figure 6", "per-type packet traffic across five churn phases");
 
   const std::int32_t base = args.scaled(100000, 50);
@@ -128,16 +115,7 @@ int main(int argc, char** argv) {
     phases.push_back({"5: mixed", p});
   }
 
-  workload::DynamicsRunner runner(network, rng, args.shards, milliseconds(5));
-  const auto& engine = runner.engine();
-  const TimeNs lookahead = engine.partition().lookahead;
-  std::fprintf(stderr, "engine: %d shard(s), %zu cut links, lookahead %s\n",
-               engine.shard_count(), engine.partition().cut_links.size(),
-               lookahead == kTimeNever ? "none" : format_time(lookahead).c_str());
+  workload::DynamicsRunner runner(network, rng, milliseconds(5));
   run_phases_and_report(runner, phases);
-  std::fprintf(stderr,
-               "engine: %llu barrier windows, %llu cross-shard packets\n",
-               static_cast<unsigned long long>(engine.windows_run()),
-               static_cast<unsigned long long>(engine.cross_shard_packets()));
   return 0;
 }

@@ -137,12 +137,6 @@ std::uint64_t ShardedBneck::packets_sent() const {
   return n;
 }
 
-TimeNs ShardedBneck::last_packet_time() const {
-  TimeNs t = 0;
-  for (const auto& p : protocols_) t = std::max(t, p->last_packet_time());
-  return t;
-}
-
 std::array<std::uint64_t, kPacketTypeCount> ShardedBneck::packets_by_type()
     const {
   std::array<std::uint64_t, kPacketTypeCount> total{};
@@ -151,12 +145,6 @@ std::array<std::uint64_t, kPacketTypeCount> ShardedBneck::packets_by_type()
     for (std::size_t i = 0; i < by_type.size(); ++i) total[i] += by_type[i];
   }
   return total;
-}
-
-std::uint64_t ShardedBneck::total_probe_cycles() const {
-  std::uint64_t n = 0;
-  for (const auto& p : protocols_) n += p->total_probe_cycles();
-  return n;
 }
 
 std::optional<Rate> ShardedBneck::notified_rate(SessionId s) const {

@@ -63,8 +63,7 @@ class ShardedBneck {
   /// `traces`: either empty or one sink per *effective* shard — shard k's
   /// protocol reports its wire crossings to traces[k], from shard k's
   /// worker thread (sinks must be shard-private or thread-safe).  Pass
-  /// per-shard sinks and merge after the run, as
-  /// workload::DynamicsRunner does.
+  /// per-shard sinks and merge after the run.
   ShardedBneck(const net::Network& network, ShardedConfig config,
                std::vector<TraceSink*> traces = {});
 
@@ -91,10 +90,8 @@ class ShardedBneck {
 
   [[nodiscard]] std::size_t active_sessions() const;
   [[nodiscard]] std::uint64_t packets_sent() const;
-  [[nodiscard]] TimeNs last_packet_time() const;
   [[nodiscard]] std::array<std::uint64_t, kPacketTypeCount> packets_by_type()
       const;
-  [[nodiscard]] std::uint64_t total_probe_cycles() const;
   [[nodiscard]] std::optional<Rate> notified_rate(SessionId s) const;
   /// Active sessions as solver input, ascending id (across all shards).
   [[nodiscard]] std::vector<SessionSpec> active_specs() const;
@@ -102,9 +99,6 @@ class ShardedBneck {
 
   [[nodiscard]] const net::NetPartition& partition() const {
     return partition_;
-  }
-  [[nodiscard]] std::int32_t shard_count() const {
-    return partition_.shard_count;
   }
   /// Shard a session's API state lives on (-1 for unknown ids).
   [[nodiscard]] std::int32_t home_shard(SessionId s) const;

@@ -156,7 +156,10 @@ class BasicSimulator {
   static constexpr std::size_t kNearAhead = 2;
 
   /// Processes exactly one event if available; returns false when idle.
-  bool step() {
+  /// Kept out of line: in a binary with a single run loop, link-time
+  /// optimization otherwise inlines the dispatch into that loop's caller,
+  /// and Figure 6 at --scale 0.1 ran 10-15 % slower that way.
+  [[gnu::noinline]] bool step() {
     if (queue_.empty()) return false;
     if (const Event* e = queue_.peek(kFarAhead)) e->prefetch(Lookahead::kFar);
     if (const Event* e = queue_.peek(kNearAhead)) {

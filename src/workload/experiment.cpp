@@ -17,34 +17,6 @@ std::vector<std::string> packet_categories() {
   return cats;
 }
 
-std::vector<std::unique_ptr<PacketBinner>> make_shard_binners(
-    const net::Network& net, std::int32_t shards, TimeNs bin_width) {
-  // The effective shard count is what the partitioner will settle on:
-  // capped by the router count, at least 1.
-  const std::int32_t effective =
-      std::max<std::int32_t>(1, std::min(shards, net.router_count()));
-  std::vector<std::unique_ptr<PacketBinner>> binners;
-  binners.reserve(static_cast<std::size_t>(effective));
-  for (std::int32_t k = 0; k < effective; ++k) {
-    binners.push_back(std::make_unique<PacketBinner>(bin_width));
-  }
-  return binners;
-}
-
-std::vector<core::TraceSink*> binner_sinks(
-    const std::vector<std::unique_ptr<PacketBinner>>& binners) {
-  std::vector<core::TraceSink*> sinks;
-  sinks.reserve(binners.size());
-  for (const auto& b : binners) sinks.push_back(b.get());
-  return sinks;
-}
-
-core::ShardedConfig sharded_config(std::int32_t shards) {
-  core::ShardedConfig cfg;
-  cfg.shards = shards;
-  return cfg;
-}
-
 }  // namespace
 
 PacketBinner::PacketBinner(TimeNs bin_width)
@@ -176,63 +148,49 @@ PhasePlan PhasePlanner::plan_phase(const PhaseSpec& phase, TimeNs now) {
 }
 
 DynamicsRunner::DynamicsRunner(const net::Network& net, Rng& rng,
-                               std::int32_t shards, TimeNs bin_width)
+                               TimeNs bin_width)
     : net_(net),
-      bin_width_(bin_width),
-      binners_(make_shard_binners(net, shards, bin_width)),
-      engine_(net, sharded_config(shards), binner_sinks(binners_)),
-      planner_(net, rng) {
-  BNECK_EXPECT(static_cast<std::size_t>(engine_.shard_count()) ==
-                   binners_.size(),
-               "shard count drifted from the partitioner");
-}
+      binner_(bin_width),
+      bneck_(sim_, net, {}, &binner_),
+      planner_(net, rng) {}
 
 PhaseResult DynamicsRunner::run_phase(const PhaseSpec& phase) {
   PhaseResult result;
-  result.started_at = engine_.now();
-  const std::uint64_t packets_before = engine_.packets_sent();
+  result.started_at = sim_.now();
+  const std::uint64_t packets_before = bneck_.packets_sent();
 
-  const PhasePlan plan = planner_.plan_phase(phase, engine_.now());
+  const PhasePlan plan = planner_.plan_phase(phase, sim_.now());
   for (const auto& p : plan.joins) {
-    engine_.schedule_join(p.join_at, p.id, p.path, p.demand, p.weight);
+    sim_.schedule_at(p.join_at, [this, p] {
+      bneck_.join(p.id, p.path, p.demand, p.weight);
+    });
   }
   for (const auto& l : plan.leaves) {
-    engine_.schedule_leave(l.when, SessionId{l.id});
+    sim_.schedule_at(l.when,
+                     [this, id = l.id] { bneck_.leave(SessionId{id}); });
   }
   for (const auto& c : plan.changes) {
-    engine_.schedule_change(c.when, SessionId{c.id}, c.demand);
+    sim_.schedule_at(c.when, [this, id = c.id, demand = c.demand] {
+      bneck_.change(SessionId{id}, demand);
+    });
   }
 
-  result.quiescent_at = engine_.run_until_idle();
-  result.packets = engine_.packets_sent() - packets_before;
-  result.active_sessions = engine_.active_sessions();
+  result.quiescent_at = sim_.run_until_idle();
+  result.packets = bneck_.packets_sent() - packets_before;
+  result.active_sessions = bneck_.active_sessions();
   return result;
 }
 
 double DynamicsRunner::max_rate_error() const {
-  const auto specs = engine_.active_specs();
+  const auto specs = bneck_.active_specs();
   const auto sol = core::solve_waterfill(net_, specs);
   double worst = 0;
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    const Rate a = engine_.notified_rate(specs[i].id).value_or(0.0);
+    const Rate a = bneck_.notified_rate(specs[i].id).value_or(0.0);
     worst = std::max(worst, std::fabs(a - sol.rates[i]) /
                                 std::max(1.0, sol.rates[i]));
   }
   return worst;
-}
-
-stats::BinnedCounter DynamicsRunner::bins() const {
-  stats::BinnedCounter merged(bin_width_, packet_categories());
-  for (const auto& binner : binners_) {
-    const stats::BinnedCounter& b = binner->bins();
-    for (std::size_t bin = 0; bin < b.bin_count(); ++bin) {
-      for (std::size_t c = 0; c < b.category_count(); ++c) {
-        const std::uint64_t n = b.at(bin, c);
-        if (n > 0) merged.add(b.bin_start(bin), c, n);
-      }
-    }
-  }
-  return merged;
 }
 
 TrackedResult run_tracked(sim::Simulator& sim,

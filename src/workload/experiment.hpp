@@ -9,23 +9,23 @@
 //                     baselines.
 //   PhasePlanner    — deterministic churn plans drawn once per phase;
 //                     the rng is consulted only while planning, so any
-//                     shard count replays the same workload.
+//                     engine that stages a plan replays the same workload.
 //   DynamicsRunner  — phased join/leave/change dynamics with quiescence
-//                     measurement (Figs. 5 and 6, Experiment 2) on
-//                     core::ShardedBneck; one shard is the single-thread
-//                     engine.
+//                     measurement (Figs. 5 and 6, Experiment 2) on one
+//                     simulator and one core::BneckProtocol.
 //   run_tracked     — fixed-horizon sampled run (Experiment 3).
 #pragma once
 
-#include <memory>
+#include <functional>
 #include <optional>
 #include <unordered_map>
 #include <vector>
 
+#include "core/bneck.hpp"
 #include "core/maxmin.hpp"
-#include "core/sharded_bneck.hpp"
 #include "core/trace.hpp"
 #include "proto/protocol.hpp"
+#include "sim/simulator.hpp"
 #include "stats/summary.hpp"
 #include "stats/time_series.hpp"
 #include "workload/workload.hpp"
@@ -104,8 +104,8 @@ struct PhaseResult {
 /// The fully-drawn churn of one phase: every join plan plus the (id,
 /// time) of every leave and the (id, demand, time) of every change.
 /// A plan is what the engine schedules — the rng is consulted only
-/// while building it, never while scheduling, which is how every shard
-/// count reproduces the same workload bit-for-bit.
+/// while building it, never while scheduling, so every engine that
+/// stages the plan reproduces the same workload bit-for-bit.
 struct PhasePlan {
   struct Leave {
     std::int32_t id;
@@ -143,17 +143,18 @@ class PhasePlanner {
   std::int32_t next_id_ = 0;
 };
 
-/// Drives B-Neck through arbitrary phase sequences on one network with
-/// `shards` worker shards (core::ShardedBneck), tracking per-type packet
-/// bins and verifying rates between phases.  One shard is the
-/// single-thread engine, byte for byte; a fixed K > 1 is deterministic.
-/// Per-shard PacketBinners absorb each shard's trace on its own worker
-/// thread; bins() merges them after the run (integer sums, so the merged
-/// series is independent of shard count).
+/// Drives B-Neck through arbitrary phase sequences on one network,
+/// tracking per-type packet bins and verifying rates between phases.
+/// Each phase's plan is staged on the simulator with schedule_at, then
+/// the simulator runs to quiescence.
 class DynamicsRunner {
  public:
-  DynamicsRunner(const net::Network& net, Rng& rng, std::int32_t shards = 1,
+  DynamicsRunner(const net::Network& net, Rng& rng,
                  TimeNs bin_width = milliseconds(5));
+
+  // Staged events capture `this`.
+  DynamicsRunner(const DynamicsRunner&) = delete;
+  DynamicsRunner& operator=(const DynamicsRunner&) = delete;
 
   PhaseResult run_phase(const PhaseSpec& phase);
 
@@ -161,16 +162,16 @@ class DynamicsRunner {
   /// centralized solution; 0 when perfectly converged.
   [[nodiscard]] double max_rate_error() const;
 
-  /// Per-type packet bins merged across shards.
-  [[nodiscard]] stats::BinnedCounter bins() const;
-
-  [[nodiscard]] const core::ShardedBneck& engine() const { return engine_; }
+  /// Per-type packet bins over every phase run so far.
+  [[nodiscard]] const stats::BinnedCounter& bins() const {
+    return binner_.bins();
+  }
 
  private:
   const net::Network& net_;
-  TimeNs bin_width_;
-  std::vector<std::unique_ptr<PacketBinner>> binners_;  // one per shard
-  core::ShardedBneck engine_;
+  PacketBinner binner_;
+  sim::Simulator sim_;
+  core::BneckProtocol bneck_;
   PhasePlanner planner_;
 };
 

@@ -42,14 +42,14 @@ TEST(Cli, ParseSeedRangeRefusesPartialRanges) {
 }
 
 TEST(BenchArgs, ExplicitScaleOneSurvivesTheBenchDefault) {
-  const benchutil::Accepts exp2{.shards = true, .default_scale = 0.1};
+  constexpr double kExp2Default = 0.1;
   char prog[] = "exp2_dynamics";
   char flag[] = "--scale";
   char one[] = "1";
   char* absent[] = {prog};
-  EXPECT_EQ(benchutil::Args::parse(1, absent, exp2).scale, 0.1);
+  EXPECT_EQ(benchutil::Args::parse(1, absent, kExp2Default).scale, 0.1);
   char* given[] = {prog, flag, one};
-  EXPECT_EQ(benchutil::Args::parse(3, given, exp2).scale, 1.0);
+  EXPECT_EQ(benchutil::Args::parse(3, given, kExp2Default).scale, 1.0);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Tests for the sharded conservative parallel engine: the barrier
-// scheduler's mailbox ordering and lifecycle (sim/sharded.hpp), and the
+// scheduler's mailbox ordering and lifecycle (sim/sharded.hpp), the
 // full ShardedBneck engine A/B'd against the single-thread protocol on
-// the PR-4 golden-trace scenario (core/sharded_bneck.hpp).
+// the golden-trace scenario (core/sharded_bneck.hpp), and Figure-6-style
+// planned churn on a transit-stub network at 1, 2 and 4 shards.
 //
 // The determinism statements pinned here, in decreasing strength:
 //   * one shard: byte-identical to the single-thread engine (the trace
@@ -14,7 +15,9 @@
 //   * any K: repeated runs are byte-identical to each other.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdlib>
 #include <memory>
 #include <sstream>
@@ -22,13 +25,16 @@
 #include <vector>
 
 #include "core/bneck.hpp"
+#include "core/maxmin.hpp"
 #include "core/sharded_bneck.hpp"
 #include "core/text_trace.hpp"
 #include "net/routing.hpp"
 #include "sim/sharded.hpp"
 #include "sim/simulator.hpp"
 #include "topo/canonical.hpp"
+#include "topo/transit_stub.hpp"
 #include "transport/sim_transport.hpp"
+#include "workload/experiment.hpp"
 
 namespace bneck {
 namespace {
@@ -352,6 +358,81 @@ TEST(ShardedBneck, CrossShardTrafficIsCountedWhenSplit) {
   EXPECT_GT(engine.cross_shard_packets(), 0u);
   EXPECT_GT(engine.windows_run(), 0u);
   EXPECT_EQ(engine.active_sessions(), 1u);
+}
+
+// ---- ShardedBneck on planned five-phase churn ----
+
+struct ChurnRun {
+  std::vector<std::size_t> active;  // per phase
+  std::vector<double> max_error;    // per phase, relative to the solver
+  std::uint64_t cross_shard = 0;
+};
+
+/// exp2_dynamics' five phases (join / leave / change / join / mixed) at
+/// `base` sessions, planned by workload::PhasePlanner from a fixed seed
+/// and run to quiescence phase by phase at `shards`.
+ChurnRun run_churn(const net::Network& n, std::int32_t base,
+                   std::int32_t shards) {
+  const std::int32_t churn = base / 5;
+  std::vector<workload::PhaseSpec> phases(5);
+  phases[0].joins = base;
+  phases[1].leaves = churn;
+  phases[2].changes = churn;
+  phases[3].joins = churn;
+  phases[4].joins = phases[4].leaves = phases[4].changes = churn;
+
+  Rng rng(2);
+  workload::PhasePlanner planner(n, rng);
+  core::ShardedConfig cfg;
+  cfg.shards = shards;
+  core::ShardedBneck engine(n, cfg);
+  ChurnRun out;
+  for (const workload::PhaseSpec& phase : phases) {
+    const workload::PhasePlan plan = planner.plan_phase(phase, engine.now());
+    for (const auto& p : plan.joins) {
+      engine.schedule_join(p.join_at, p.id, p.path, p.demand, p.weight);
+    }
+    for (const auto& l : plan.leaves) {
+      engine.schedule_leave(l.when, SessionId{l.id});
+    }
+    for (const auto& c : plan.changes) {
+      engine.schedule_change(c.when, SessionId{c.id}, c.demand);
+    }
+    engine.run_until_idle();
+    const auto specs = engine.active_specs();
+    const auto sol = core::solve_waterfill(n, specs);
+    double worst = 0;
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      const Rate a = engine.notified_rate(specs[i].id).value_or(0.0);
+      worst = std::max(worst, std::fabs(a - sol.rates[i]) /
+                                  std::max(1.0, sol.rates[i]));
+    }
+    out.active.push_back(engine.active_sessions());
+    out.max_error.push_back(worst);
+  }
+  out.cross_shard = engine.cross_shard_packets();
+  return out;
+}
+
+TEST(ShardedBneck, PlannedChurnConvergesExactlyAtOneTwoAndFourShards) {
+  // Same-instant cross-shard ties may reorder packets at K > 1, so packet
+  // counts can drift from K = 1; every phase must still end at the
+  // solver's rates with the same session churn.
+  constexpr std::int32_t kBase = 300;
+  auto params = topo::medium_params();
+  params.hosts = kBase + 3 * (kBase / 5) + 64;  // as exp2_dynamics sizes it
+  Rng rng(1);
+  const net::Network n = topo::make_transit_stub(params, rng);
+  const ChurnRun one = run_churn(n, kBase, 1);
+  EXPECT_EQ(one.active, (std::vector<std::size_t>{300, 240, 240, 300, 300}));
+  for (const double e : one.max_error) EXPECT_LT(e, 1e-9);
+  for (const std::int32_t shards : {2, 4}) {
+    SCOPED_TRACE(shards);
+    const ChurnRun run = run_churn(n, kBase, shards);
+    EXPECT_EQ(run.active, one.active);
+    for (const double e : run.max_error) EXPECT_LT(e, 1e-9);
+    EXPECT_GT(run.cross_shard, 0u);
+  }
 }
 
 }  // namespace

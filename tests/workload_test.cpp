@@ -440,97 +440,82 @@ TEST(LoadMonitor, BneckNeverOverloadsSharedBottleneck) {
 }
 
 // ---- DynamicsRunner (Experiment 2 machinery) ----
-//
-// Each test runs at one shard (the single-thread engine) and at two
-// (the barrier exchange and the merged per-shard bins).
-
-constexpr std::int32_t kShardCounts[] = {1, 2};
 
 TEST(DynamicsRunner, JoinPhaseConvergesAndCounts) {
   const auto n = test_network();
-  for (const std::int32_t shards : kShardCounts) {
-    SCOPED_TRACE(shards);
-    Rng rng(11);
-    DynamicsRunner runner(n, rng, shards);
-    ASSERT_EQ(runner.engine().shard_count(), shards);
-    PhaseSpec phase;
-    phase.joins = 30;
-    const auto result = runner.run_phase(phase);
-    EXPECT_EQ(result.active_sessions, 30u);
-    EXPECT_GT(result.quiescent_at, result.started_at);
-    EXPECT_GT(result.packets, 0u);
-    EXPECT_LT(runner.max_rate_error(), 1e-6);
-    // The merged bins count every crossing of the phase.
-    const auto bins = runner.bins();
-    std::uint64_t binned = 0;
-    for (std::size_t b = 0; b < bins.bin_count(); ++b) {
-      binned += bins.bin_total(b);
-    }
-    EXPECT_EQ(binned, result.packets);
+  Rng rng(11);
+  DynamicsRunner runner(n, rng);
+  PhaseSpec phase;
+  phase.joins = 30;
+  const auto result = runner.run_phase(phase);
+  EXPECT_EQ(result.active_sessions, 30u);
+  EXPECT_GT(result.quiescent_at, result.started_at);
+  EXPECT_GT(result.packets, 0u);
+  EXPECT_LT(runner.max_rate_error(), 1e-6);
+  // The bins count every crossing of the phase.
+  const auto& bins = runner.bins();
+  std::uint64_t binned = 0;
+  for (std::size_t b = 0; b < bins.bin_count(); ++b) {
+    binned += bins.bin_total(b);
   }
+  EXPECT_EQ(binned, result.packets);
 }
 
 TEST(DynamicsRunner, FivePhaseExperimentTwoShape) {
   // Scaled-down Experiment 2: join / leave / change / join / mixed.
   const auto n = test_network();
-  for (const std::int32_t shards : kShardCounts) {
-    SCOPED_TRACE(shards);
-    Rng rng(12);
-    DynamicsRunner runner(n, rng, shards);
-    PhaseSpec p1;
-    p1.joins = 24;
-    const auto r1 = runner.run_phase(p1);
-    EXPECT_EQ(r1.active_sessions, 24u);
+  Rng rng(12);
+  DynamicsRunner runner(n, rng);
+  PhaseSpec p1;
+  p1.joins = 24;
+  const auto r1 = runner.run_phase(p1);
+  EXPECT_EQ(r1.active_sessions, 24u);
 
-    PhaseSpec p2;
-    p2.leaves = 6;
-    const auto r2 = runner.run_phase(p2);
-    EXPECT_EQ(r2.active_sessions, 18u);
-    EXPECT_LT(runner.max_rate_error(), 1e-6);
+  PhaseSpec p2;
+  p2.leaves = 6;
+  const auto r2 = runner.run_phase(p2);
+  EXPECT_EQ(r2.active_sessions, 18u);
+  EXPECT_LT(runner.max_rate_error(), 1e-6);
 
-    PhaseSpec p3;
-    p3.changes = 6;
-    const auto r3 = runner.run_phase(p3);
-    EXPECT_EQ(r3.active_sessions, 18u);
-    EXPECT_LT(runner.max_rate_error(), 1e-6);
+  PhaseSpec p3;
+  p3.changes = 6;
+  const auto r3 = runner.run_phase(p3);
+  EXPECT_EQ(r3.active_sessions, 18u);
+  EXPECT_LT(runner.max_rate_error(), 1e-6);
 
-    PhaseSpec p4;
-    p4.joins = 6;
-    const auto r4 = runner.run_phase(p4);
-    EXPECT_EQ(r4.active_sessions, 24u);
+  PhaseSpec p4;
+  p4.joins = 6;
+  const auto r4 = runner.run_phase(p4);
+  EXPECT_EQ(r4.active_sessions, 24u);
 
-    PhaseSpec p5;
-    p5.joins = 6;
-    p5.leaves = 6;
-    p5.changes = 6;
-    const auto r5 = runner.run_phase(p5);
-    EXPECT_EQ(r5.active_sessions, 24u);
-    EXPECT_LT(runner.max_rate_error(), 1e-6);
+  PhaseSpec p5;
+  p5.joins = 6;
+  p5.leaves = 6;
+  p5.changes = 6;
+  const auto r5 = runner.run_phase(p5);
+  EXPECT_EQ(r5.active_sessions, 24u);
+  EXPECT_LT(runner.max_rate_error(), 1e-6);
 
-    // Phases happen in order.
-    EXPECT_LE(r1.quiescent_at, r2.started_at);
-    EXPECT_LE(r4.quiescent_at, r5.started_at);
-  }
+  // Phases happen in order.
+  EXPECT_LE(r1.quiescent_at, r2.started_at);
+  EXPECT_LE(r4.quiescent_at, r5.started_at);
 }
 
 TEST(DynamicsRunner, SourceHostsRecycledAfterLeave) {
   // 4-host dumbbell: join 2, leave 2, join 2 again -- only possible if
   // the freed source hosts are reused.
   const auto n = topo::make_dumbbell(2, 100.0);
-  for (const std::int32_t shards : kShardCounts) {
-    SCOPED_TRACE(shards);
-    Rng rng(13);
-    DynamicsRunner runner(n, rng, shards);
-    PhaseSpec join2;
-    join2.joins = 2;
-    runner.run_phase(join2);
-    PhaseSpec leave2;
-    leave2.leaves = 2;
-    runner.run_phase(leave2);
-    const auto r = runner.run_phase(join2);
-    EXPECT_EQ(r.active_sessions, 2u);
-    EXPECT_LT(runner.max_rate_error(), 1e-6);
-  }
+  Rng rng(13);
+  DynamicsRunner runner(n, rng);
+  PhaseSpec join2;
+  join2.joins = 2;
+  runner.run_phase(join2);
+  PhaseSpec leave2;
+  leave2.leaves = 2;
+  runner.run_phase(leave2);
+  const auto r = runner.run_phase(join2);
+  EXPECT_EQ(r.active_sessions, 2u);
+  EXPECT_LT(runner.max_rate_error(), 1e-6);
 }
 
 // ---- run_tracked (Experiment 3 machinery) ----
