@@ -1,11 +1,13 @@
 // Lossy links: running B-Neck outside its comfort zone.
 //
 // The paper assumes links deliver control packets reliably and in order.
-// This example injects packet loss to show (a) that the bare protocol
-// wedges when the assumption is violated, and (b) that the library's
-// go-back-N link layer (BneckConfig::wire.reliable_links) restores exact
-// convergence — and quiescence — up to heavy loss rates, at the cost of
-// retransmissions.
+// This example injects packet loss (BneckConfig::wire.faults, the same
+// transport::FaultConfig the UDP wire's fault injector takes, of which
+// the simulated wire models the drop fate) to show (a) that the bare
+// protocol wedges when the assumption is violated, and (b) that the
+// library's go-back-N link layer (BneckConfig::wire.reliable_links)
+// restores exact convergence — and quiescence — up to heavy loss rates,
+// at the cost of retransmissions.
 //
 //   $ ./examples/lossy_network [loss%]
 #include <cstdio>
@@ -34,9 +36,9 @@ Outcome run(const net::Network& n, double loss, bool reliable,
   const net::PathFinder paths(n);
   sim::Simulator sim;
   core::BneckConfig cfg;
-  cfg.wire.loss_probability = loss;
+  cfg.wire.faults.drop = loss;
+  cfg.wire.faults.seed = seed;
   cfg.wire.reliable_links = reliable;
-  cfg.wire.loss_seed = seed;
   core::BneckProtocol bneck(sim, n, cfg);
   for (int i = 0; i < 4; ++i) {
     bneck.join(SessionId{i},

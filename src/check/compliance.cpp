@@ -43,12 +43,12 @@ std::string fmt(const char* f, auto... args) {
 /// the daemon to shut down before returning.  Empty string on success.
 std::string run_client(const net::Network& net, const Scenario& sc,
                        Endpoint daemon_ep, const ComplianceOptions& opt,
-                       std::optional<transport::FaultConfig> faults,
+                       const transport::FaultConfig& faults,
                        ComplianceResult& res) {
   SourceClient client(net, daemon_ep);
   std::optional<transport::FaultInjector> injector;
-  if (faults && faults->any()) {
-    injector.emplace(*faults);
+  if (faults.any()) {
+    injector.emplace(faults);
     client.transport().set_fault_injector(&*injector);
   }
   const net::PathFinder pf(net);
@@ -206,23 +206,15 @@ ComplianceResult run_compliance_scenario(const Scenario& sc_in,
   // (the daemon hosts no source tasks) over a lossless loopback wire.
   Scenario sc = sc_in;
   sc.shared_access = false;
-  sc.loss_probability = 0.0;
+  sc.faults = {};
   normalize(sc);
 
-  // Both sides fault on their own deterministic schedules, derived
-  // from the scenario seed when the config leaves seed = 0.
-  std::optional<transport::FaultConfig> client_faults;
-  std::optional<transport::FaultConfig> daemon_faults;
-  if (opt.faults && opt.faults->any()) {
-    client_faults = *opt.faults;
-    daemon_faults = *opt.faults;
-    if (opt.faults->seed == 0) {
-      client_faults->seed = sc.seed * 0x9e3779b97f4a7c15ull + 1;
-      daemon_faults->seed = sc.seed * 0x9e3779b97f4a7c15ull + 2;
-    } else {
-      daemon_faults->seed = opt.faults->seed + 1;
-    }
-  }
+  // Both sides fault on their own deterministic schedules: the client
+  // is wire 1, the daemon wire 2.
+  const transport::FaultConfig client_faults =
+      seeded_faults(opt.faults, sc.seed, 1);
+  const transport::FaultConfig daemon_faults =
+      seeded_faults(opt.faults, sc.seed, 2);
 
   std::string failure;
   try {

@@ -46,8 +46,8 @@ struct ComplianceOptions {
   /// Stall-recovery re-probes before giving up.
   int max_nudges = 3;
   /// Fault schedule for both egress paths; seed 0 means "derive from
-  /// the scenario seed".  Disabled when absent or all-zero.
-  std::optional<transport::FaultConfig> faults;
+  /// the scenario seed" (check::seeded_faults).  Disabled when all-zero.
+  transport::FaultConfig faults;
 };
 
 struct ComplianceResult {

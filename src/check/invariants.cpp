@@ -89,7 +89,7 @@ void InvariantChecker::on_burst(TimeNs t) {
   phase_dirty_ = true;
   phase_packet_budget_ = 0;
   phase_quiescence_bound_ = kTimeNever;
-  if (cfg_.wire.loss_probability > 0) return;  // bounds assume reliable wires
+  if (cfg_.wire.faults.any()) return;  // bounds assume reliable wires
   // Only the budgets need the level count below (the model checker
   // disarms both).
   if (opt_.packet_slack <= 0 && opt_.quiescence_slack <= 0) return;

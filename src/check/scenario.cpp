@@ -115,6 +115,15 @@ net::Network build_network(const TopoSpec& t) {
   return n;
 }
 
+transport::FaultConfig seeded_faults(transport::FaultConfig faults,
+                                     std::uint64_t scenario_seed,
+                                     std::uint64_t k) {
+  BNECK_EXPECT(k >= 1, "fault wires are numbered from 1");
+  faults.seed = faults.seed == 0 ? scenario_seed * 0x9e3779b97f4a7c15ull + k
+                                 : faults.seed + (k - 1);
+  return faults;
+}
+
 Scenario generate_scenario(std::uint64_t seed) {
   Rng rng(seed);
   Scenario sc;
@@ -162,7 +171,7 @@ Scenario generate_scenario(std::uint64_t seed) {
 
   // ---- fault model ----
   if (rng.chance(0.2)) {
-    sc.loss_probability = rng.uniform_real(0.01, 0.12);
+    sc.faults.drop = rng.uniform_real(0.01, 0.12);
   }
 
   // ---- weighted max-min ----
@@ -285,7 +294,7 @@ Scenario generate_small_scenario(std::uint64_t seed,
   t.router_capacity = rng.pick(std::vector<Rate>{100.0, 200.0});
   t.access_capacity = rng.pick(std::vector<Rate>{50.0, 100.0});
   t.wan = false;  // LAN delays: 1 us hops, so deliveries tie and race
-  sc.loss_probability = 0.0;
+  sc.faults = {};
   sc.shared_access = false;
 
   const std::int32_t host_count = build_network(t).host_count();
@@ -477,8 +486,10 @@ std::string format_spec(const Scenario& sc) {
      << " hosts=" << sc.topo.hosts << " tseed=" << sc.topo.seed
      << " rcap=" << rate_str(sc.topo.router_capacity)
      << " acap=" << rate_str(sc.topo.access_capacity)
-     << " wan=" << (sc.topo.wan ? 1 : 0) << " loss=" << rate_str(sc.loss_probability)
-     << " seed=" << sc.seed;
+     << " wan=" << (sc.topo.wan ? 1 : 0);
+  // Omitted when off, like shared=1, so loss-free specs stay short.
+  if (sc.faults.any()) os << " faults=" << sc.faults.to_string();
+  os << " seed=" << sc.seed;
   // Omitted when false so pre-shared-mode specs round-trip unchanged.
   if (sc.shared_access) os << " shared=1";
   os << " ev=";
@@ -533,8 +544,11 @@ Scenario parse_spec(const std::string& spec) {
       sc.topo.access_capacity = rate_from(value);
     } else if (key == "wan") {
       sc.topo.wan = int_from(value) != 0;
-    } else if (key == "loss") {
-      sc.loss_probability = rate_from(value);
+    } else if (key == "faults") {
+      std::string why;
+      const auto faults = transport::FaultConfig::parse(value, &why);
+      BNECK_EXPECT(faults.has_value(), why.c_str());
+      sc.faults = *faults;
     } else if (key == "seed") {
       sc.seed = int_from<std::uint64_t>(value);
     } else if (key == "shared") {
@@ -638,8 +652,11 @@ std::string cpp_snippet(const Scenario& sc, const std::string& test_name,
      << ";\n"
      << "  sc.topo.access_capacity = " << rate_str(sc.topo.access_capacity)
      << ";\n"
-     << "  sc.topo.wan = " << (sc.topo.wan ? "true" : "false") << ";\n"
-     << "  sc.loss_probability = " << rate_str(sc.loss_probability) << ";\n";
+     << "  sc.topo.wan = " << (sc.topo.wan ? "true" : "false") << ";\n";
+  if (sc.faults.any()) {
+    os << "  sc.faults = *bneck::transport::FaultConfig::parse(\""
+       << sc.faults.to_string() << "\", nullptr);\n";
+  }
   if (sc.shared_access) os << "  sc.shared_access = true;\n";
   os << "  sc.events = {\n";
   for (const ScheduleEvent& ev : sc.events) {

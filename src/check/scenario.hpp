@@ -29,6 +29,7 @@
 #include "base/rate.hpp"
 #include "base/time.hpp"
 #include "net/network.hpp"
+#include "transport/fault.hpp"
 
 namespace bneck::check {
 
@@ -81,10 +82,12 @@ struct Scenario {
   /// scenarios (the event list, not the seed, is authoritative).
   std::uint64_t seed = 0;
   TopoSpec topo;
-  /// Wire loss probability; > 0 implies go-back-N ARQ links
-  /// (BneckConfig::reliable_links), as lossy runs would otherwise
-  /// deadlock by design.
-  double loss_probability = 0.0;
+  /// The simulated wire's faults (drop only; WireConfig::faults).  Any
+  /// fault implies go-back-N ARQ links (WireConfig::reliable_links), as
+  /// lossy runs would otherwise deadlock by design.  Seed 0 derives the
+  /// fault schedule from `seed` (seeded_faults, wire 1).  Specs carry
+  /// it as `faults=<FaultConfig::to_string()>` (omitted when no fault).
+  transport::FaultConfig faults;
   /// Runs the protocol with BneckConfig::shared_access_links: any number
   /// of sessions may share a source host (the access link is arbitrated
   /// by a RouterLink task at the host).  The generator arms it on about
@@ -93,6 +96,15 @@ struct Scenario {
   bool shared_access = false;
   std::vector<ScheduleEvent> events;
 };
+
+/// `faults` with the fault-schedule seed of wire `k` (k >= 1) of the
+/// run of scenario `scenario_seed`: seed 0 derives scenario_seed ·
+/// 0x9e3779b97f4a7c15 + k, any other seed is offset by k - 1.  The
+/// simulated wire is wire 1; the compliance harness's client is wire 1
+/// and its daemon wire 2.
+[[nodiscard]] transport::FaultConfig seeded_faults(
+    transport::FaultConfig faults, std::uint64_t scenario_seed,
+    std::uint64_t k);
 
 /// The fuzzer: expands one seed into a scenario.  Pure function of seed.
 [[nodiscard]] Scenario generate_scenario(std::uint64_t seed);

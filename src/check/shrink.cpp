@@ -125,8 +125,8 @@ class Shrinker {
         mutate(c);
         return c;
       };
-      if (best_.loss_probability > 0) {
-        cands.push_back(with([](Scenario& c) { c.loss_probability = 0; }));
+      if (best_.faults.any()) {
+        cands.push_back(with([](Scenario& c) { c.faults = {}; }));
       }
       if (best_.shared_access) {
         // Mode -> default pass: most failures that reproduce in shared-

@@ -19,7 +19,7 @@ ShardedBneck::ShardedBneck(const net::Network& network, ShardedConfig config,
       partition_(net::partition_network(
           network, {config.shards, config.balance_slack})) {
   BNECK_EXPECT(!cfg_.protocol.wire.reliable_links &&
-                   cfg_.protocol.wire.loss_probability == 0.0,
+                   !cfg_.protocol.wire.faults.any(),
                "sharded engine requires the loss-free wire");
   const auto shards = static_cast<std::size_t>(partition_.shard_count);
   BNECK_EXPECT(traces.empty() || traces.size() == shards,

@@ -55,7 +55,7 @@ void hash_longdouble(Fnv64& h, long double v) {
 
 core::BneckConfig world_config(const check::Scenario& sc,
                                const WorldOptions& opt) {
-  BNECK_EXPECT(sc.loss_probability == 0.0,
+  BNECK_EXPECT(!sc.faults.any(),
                "model checking requires loss-free wires");
   BNECK_EXPECT(!sc.shared_access,
                "model checking requires dedicated access links");

@@ -25,11 +25,6 @@ Bfyz::LinkState& Bfyz::state(LinkId e) {
   return *slot;
 }
 
-Rate Bfyz::advertised(LinkId e) const {
-  const auto& slot = links_[static_cast<std::size_t>(e.value())];
-  return slot.has_value() ? slot->advertised : network().link(e).capacity;
-}
-
 void Bfyz::on_forward(LinkId link, Session& session, Cell& cell) {
   LinkState& st = state(link);
   // Unknown sessions count as unmarked; the offer is weight x the

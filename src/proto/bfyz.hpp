@@ -42,9 +42,6 @@ class Bfyz final : public CellProtocolBase {
 
   [[nodiscard]] std::string name() const override { return "BFYZ"; }
 
-  /// Advertised rate of a link (for tests); capacity if never used.
-  [[nodiscard]] Rate advertised(LinkId e) const;
-
  protected:
   void on_forward(LinkId link, Session& session, Cell& cell) override;
   void on_backward(LinkId link, Session& session, Cell& cell) override;

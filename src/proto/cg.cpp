@@ -24,11 +24,6 @@ CobbGouda::LinkState& CobbGouda::state(LinkId e) {
   return *slot;
 }
 
-Rate CobbGouda::advertised(LinkId e) const {
-  const auto& slot = links_[static_cast<std::size_t>(e.value())];
-  return slot.has_value() ? slot->advertised : network().link(e).capacity;
-}
-
 void CobbGouda::on_forward(LinkId link, Session& session, Cell& cell) {
   LinkState& st = state(link);
   // Constant-size accounting: the aggregate declared load and the total

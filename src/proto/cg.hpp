@@ -38,8 +38,6 @@ class CobbGouda final : public CellProtocolBase {
 
   [[nodiscard]] std::string name() const override { return "CG"; }
 
-  [[nodiscard]] Rate advertised(LinkId e) const;
-
  protected:
   void on_forward(LinkId link, Session& session, Cell& cell) override;
   void on_backward(LinkId link, Session& session, Cell& cell) override;

@@ -24,11 +24,6 @@ Rcp::LinkState& Rcp::state(LinkId e) {
   return *slot;
 }
 
-Rate Rcp::offer(LinkId e) const {
-  const auto& slot = links_[static_cast<std::size_t>(e.value())];
-  return slot.has_value() ? slot->r : network().link(e).capacity;
-}
-
 void Rcp::on_forward(LinkId link, Session& session, Cell& cell) {
   LinkState& st = state(link);
   // One cell per session per period: accumulating declared rates over the

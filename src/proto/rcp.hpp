@@ -38,8 +38,6 @@ class Rcp final : public CellProtocolBase {
 
   [[nodiscard]] std::string name() const override { return "RCP"; }
 
-  [[nodiscard]] Rate offer(LinkId e) const;
-
  protected:
   void on_forward(LinkId link, Session& session, Cell& cell) override;
   void on_backward(LinkId link, Session& session, Cell& cell) override;

@@ -15,8 +15,8 @@ Daemon::Daemon(const net::Network& net, const DaemonOptions& opts)
       opts_(opts),
       transport_(*this, opts.reliability, opts.port),
       plane_(net, *this) {
-  if (opts_.faults && opts_.faults->any()) {
-    fault_.emplace(*opts_.faults);
+  if (opts_.faults.any()) {
+    fault_.emplace(opts_.faults);
     transport_.set_fault_injector(&*fault_);
   }
   transport_.set_peer_resolver([this](const Packet& p) -> const Endpoint* {

@@ -53,8 +53,8 @@ struct DaemonOptions {
   /// Retransmit tuning for the reliable channels to clients.
   ReliableConfig reliability;
   /// Egress fault injection (compliance-under-faults); disabled when
-  /// absent or all-zero.
-  std::optional<FaultConfig> faults;
+  /// all-zero.
+  FaultConfig faults;
   /// Reap the sessions of a client silent this long; 0 disables expiry.
   TimeNs session_expiry = 0;
   /// Emit a one-line counter summary to stderr this often; 0 disables.

@@ -25,6 +25,10 @@
 // disarms before the Shutdown handshake so teardown is not part of the
 // experiment.  When no injector is installed the transport pays one
 // branch per frame: the wrapper is zero-cost when disabled.
+//
+// FaultConfig is also the simulated wire's fault model (WireConfig::
+// faults, transport/sim_transport.hpp): the same grammar, validator and
+// fate draw, of which the simulator models the drop fate only.
 #pragma once
 
 #include <cstdint>
@@ -41,11 +45,17 @@
 
 namespace bneck::transport {
 
+/// What befalls one frame; FaultConfig::draw picks it.
+enum class Fate : std::uint8_t { Pass, Drop, Duplicate, Reorder, Corrupt, Delay };
+
+/// The one fault description of both wires: the UDP egress path
+/// (FaultInjector) and the simulated wire (WireConfig::faults, which
+/// models the drop fate only).  All-zero probabilities mean "no faults".
 struct FaultConfig {
   /// Fault-schedule seed; 0 lets the harness derive one (scenario seed).
   std::uint64_t seed = 0;
-  // Per-frame fault probabilities; independent draws, first match
-  // in the order below wins.
+  // Per-frame fault probabilities: one draw per frame, cumulative ranges
+  // in the order below (see draw()).
   double drop = 0.0;
   double duplicate = 0.0;
   double reorder = 0.0;
@@ -67,14 +77,32 @@ struct FaultConfig {
   [[nodiscard]] static FaultConfig standard(std::uint64_t seed);
 
   /// Parses "key=value,..." with keys seed, drop, dup, reorder,
-  /// corrupt, delay, delay-min-ms, delay-max-ms.  The seed and the
-  /// delays are unsigned integers (a delay at most one day), the
-  /// probabilities numbers in [0,1).
-  /// Returns nullopt (and sets *error) on malformed input.
+  /// corrupt, delay, delay-min-ms, delay-max-ms; absent keys keep the
+  /// defaults above.  The seed and the delays are unsigned integers (a
+  /// delay at most one day), the probabilities numbers; the result must
+  /// pass validate().  Returns nullopt (and sets *error) on malformed
+  /// input.
   [[nodiscard]] static std::optional<FaultConfig> parse(
       const std::string& spec, std::string* error);
 
+  /// Why this config cannot be used, or "" when it can: every
+  /// probability in [0,1), their sum below 1, 0 <= delay_min <=
+  /// delay_max.  `drop_only` also refuses every fate but drop (the
+  /// simulated wire models loss only).
+  [[nodiscard]] std::string validate(bool drop_only = false) const;
+
+  /// Draws one frame's fate: one uniform draw on [0,1) against the
+  /// cumulative ranges drop, duplicate, reorder, corrupt, delay, so a
+  /// schedule is a pure function of the Rng's seed and the frame index
+  /// (and a drop-only config draws exactly like rng.chance(drop)).
+  [[nodiscard]] Fate draw(Rng& rng) const;
+
+  /// The parse() form of the fields that differ from the defaults, each
+  /// probability printed exactly: parse(to_string()) == *this whenever
+  /// the delays are whole milliseconds.
   [[nodiscard]] std::string to_string() const;
+
+  friend bool operator==(const FaultConfig&, const FaultConfig&) = default;
 };
 
 struct FaultCounters {

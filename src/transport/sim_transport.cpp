@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <string>
 #include <utility>
 
 #include "base/expect.hpp"
@@ -18,10 +19,10 @@ SimTransport::SimTransport(sim::Simulator& sim, const net::Network& net,
       route_(std::move(route)),
       channels_(static_cast<std::size_t>(net.link_count())),
       arq_slot_(static_cast<std::size_t>(net.link_count()), -1),
-      loss_rng_(cfg.loss_seed) {
+      fault_rng_(cfg.faults.seed) {
   BNECK_EXPECT(cfg_.packet_bits > 0, "packet size must be positive");
-  BNECK_EXPECT(cfg_.loss_probability >= 0.0 && cfg_.loss_probability < 1.0,
-               "loss probability must be in [0,1)");
+  const std::string why = cfg_.faults.validate(/*drop_only=*/true);
+  BNECK_EXPECT(why.empty(), why.c_str());
   BNECK_EXPECT(route_.partition == nullptr || lossless(),
                "sharded engine requires the loss-free wire");
   timing_.reserve(channels_.size());
@@ -35,7 +36,7 @@ SimArqLink::SimArqLink(sim::Simulator& sim, TransportSink& sink,
                        LinkId physical, sim::FifoChannel& data_channel,
                        sim::FifoChannel& ack_channel, TimeNs data_tx,
                        TimeNs data_prop, TimeNs ack_tx, TimeNs ack_prop,
-                       const ReliableConfig& cfg, double loss_probability,
+                       const ReliableConfig& cfg, const FaultConfig& faults,
                        Rng rng)
     : sim_(sim),
       sink_(sink),
@@ -46,13 +47,11 @@ SimArqLink::SimArqLink(sim::Simulator& sim, TransportSink& sink,
       data_prop_(data_prop),
       ack_tx_(ack_tx),
       ack_prop_(ack_prop),
-      loss_(loss_probability),
+      faults_(faults),
       rng_(rng),
       channel_(cfg, [this](std::uint64_t seq, const core::Packet& p) {
         wire_send(seq, p);
       }) {
-  BNECK_EXPECT(loss_ >= 0.0 && loss_ < 1.0,
-               "loss probability must be in [0,1)");
   data_rx_.self = this;
   ack_rx_.self = this;
 }
@@ -78,7 +77,8 @@ void SimArqLink::wire_send(std::uint64_t seq, const core::Packet& p) {
   sink_.on_wire(p, physical_);
   const TimeNs arrival =
       data_channel_.transmit(sim_.now(), data_tx_, data_prop_);
-  if (rng_.chance(loss_)) return;  // occupied the wire, never arrives
+  // Occupied the wire; a dropped frame never arrives.
+  if (faults_.draw(rng_) == Fate::Drop) return;
   sim_.schedule_delivery_at(arrival, data_rx_, DataFrame{p, seq});
 }
 
@@ -86,7 +86,7 @@ void SimArqLink::on_data(const DataFrame& f) {
   if (channel_.on_data(f.seq)) sink_.on_packet(f.packet);
   // Every arrival earns a cumulative ack, which also repairs lost acks.
   const TimeNs arrival = ack_channel_.transmit(sim_.now(), ack_tx_, ack_prop_);
-  if (rng_.chance(loss_)) return;
+  if (faults_.draw(rng_) == Fate::Drop) return;
   sim_.schedule_delivery_at(arrival, ack_rx_, AckFrame{channel_.expected()});
 }
 
@@ -121,7 +121,7 @@ SimArqLink& SimTransport::arq_link_at(LinkId physical) {
         channels_[static_cast<std::size_t>(reverse.value())], data.tx,
         data.prop, ack.tx, ack.prop,
         SimArqLink::config(data.tx + data.prop + ack.tx + ack.prop),
-        cfg_.loss_probability, loss_rng_.fork());
+        cfg_.faults, fault_rng_.fork());
   }
   return arq_arena_[static_cast<std::size_t>(slot)];
 }
@@ -143,7 +143,9 @@ void SimTransport::send(LinkId physical, const core::Packet& p) {
   const TimeNs arrival = channels_[static_cast<std::size_t>(physical.value())]
                              .transmit(sim_.now(), lt.tx, lt.prop);
   sink_.on_wire(p, physical);
-  if (cfg_.loss_probability > 0 && loss_rng_.chance(cfg_.loss_probability)) {
+  // Drop is the only fate the constructor lets through, so a lossless
+  // wire skips the draw on this one test.
+  if (cfg_.faults.drop > 0 && cfg_.faults.draw(fault_rng_) == Fate::Drop) {
     return;  // the paper's reliability assumption, violated on purpose
   }
   if (route_.partition != nullptr) {

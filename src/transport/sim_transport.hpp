@@ -8,8 +8,12 @@
 // With `reliable_links` every physical link runs through a SimArqLink
 // instead — the go-back-N core (transport/reliable.hpp) driven by
 // simulator events, for exactly-once in-order delivery over lossy
-// wires; with bare loss_probability > 0, packets simply vanish (the
-// paper's reliability assumption, violated on purpose).
+// wires.  Loss is described by `faults`, the same transport::
+// FaultConfig the UDP wire's FaultInjector takes: every transmission
+// draws its fate with FaultConfig::draw, and the simulator models the
+// drop fate only (a config with any other fate is refused).  Without
+// `reliable_links` a dropped packet simply vanishes (the paper's
+// reliability assumption, violated on purpose).
 //
 // The sharded engine (core/sharded_bneck.hpp) runs one SimTransport per
 // shard, each given a ShardRoute: a send on a link whose destination
@@ -33,6 +37,7 @@
 #include "net/network.hpp"
 #include "net/partition.hpp"
 #include "sim/simulator.hpp"
+#include "transport/fault.hpp"
 #include "transport/reliable.hpp"
 #include "transport/transport.hpp"
 
@@ -51,12 +56,11 @@ struct WireConfig {
   /// in-order delivery over lossy links, still quiescent (no unacked
   /// data -> no timers, no traffic).
   bool reliable_links = false;
-  /// Fault injection: probability that a wire transmission is lost.
-  /// Without reliable_links, a lost packet deadlocks the affected
-  /// sessions (the paper assumes reliable links).
-  double loss_probability = 0.0;
-  /// Seed for the loss process (deterministic fault injection).
-  std::uint64_t loss_seed = 0x10552024;
+  /// Fault injection: `faults.drop` is the probability that a wire
+  /// transmission is lost, drawn from an Rng seeded with `faults.seed`;
+  /// every other fate must be 0.  Without reliable_links, a lost packet
+  /// deadlocks the affected sessions (the paper assumes reliable links).
+  FaultConfig faults;
 
   /// Transmission time of one control packet on `l` — THE definition of
   /// the simulation's store-and-forward timing, shared with external
@@ -76,8 +80,8 @@ struct WireConfig {
 /// core::Packet payloads over the simulator.  Data crosses
 /// `data_channel`, and the cumulative ack for every data arrival comes
 /// back over `ack_channel` (the reverse link), each as a typed event;
-/// every transmission, data or ack, is lost with `loss_probability`,
-/// drawn from the link's own Rng after it occupied the wire.  The
+/// every transmission, data or ack, draws its fate from `faults` with
+/// the link's own Rng after it occupied the wire.  The
 /// retransmit timer is a simulator event at the channel's
 /// next_deadline(), re-scheduled whenever the channel re-arms.
 class SimArqLink {
@@ -89,7 +93,7 @@ class SimArqLink {
              sim::FifoChannel& data_channel, sim::FifoChannel& ack_channel,
              TimeNs data_tx, TimeNs data_prop, TimeNs ack_tx,
              TimeNs ack_prop, const ReliableConfig& cfg,
-             double loss_probability, Rng rng);
+             const FaultConfig& faults, Rng rng);
 
   SimArqLink(const SimArqLink&) = delete;
   SimArqLink& operator=(const SimArqLink&) = delete;
@@ -143,7 +147,7 @@ class SimArqLink {
   sim::FifoChannel& data_channel_;
   sim::FifoChannel& ack_channel_;
   TimeNs data_tx_, data_prop_, ack_tx_, ack_prop_;
-  double loss_;
+  const FaultConfig& faults_;  // the owning SimTransport's
   Rng rng_;
   ReliableChannel<core::Packet> channel_;
   std::uint64_t timer_generation_ = 0;
@@ -230,7 +234,7 @@ class SimTransport final
   /// the only configuration the model checker can snapshot (go-back-N
   /// state is not captured).
   [[nodiscard]] bool lossless() const {
-    return !cfg_.reliable_links && cfg_.loss_probability == 0.0;
+    return !cfg_.reliable_links && !cfg_.faults.any();
   }
 
  private:
@@ -253,7 +257,7 @@ class SimTransport final
   // link id -> arena slot (-1 = never instantiated).
   Slab<SimArqLink> arq_arena_;
   std::vector<std::int32_t> arq_slot_;
-  Rng loss_rng_;
+  Rng fault_rng_;  // seeded with faults.seed; each SimArqLink forks it
 };
 
 }  // namespace bneck::transport

@@ -4,6 +4,7 @@
 // (fault injection).
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "core/bneck.hpp"
@@ -28,9 +29,10 @@ struct ArqHarness final : transport::TransportSink {
   explicit ArqHarness(
       double loss = 0.0, std::uint64_t seed = 1,
       const ReliableConfig& cfg = SimArqLink::config(kRoundTrip))
-      : link(sim, *this, LinkId{0}, data, ack, /*data_tx=*/100,
-             /*data_prop=*/1000, /*ack_tx=*/100, /*ack_prop=*/1000, cfg, loss,
-             Rng(seed)) {}
+      : faults{.drop = loss},
+        link(sim, *this, LinkId{0}, data, ack, /*data_tx=*/100,
+             /*data_prop=*/1000, /*ack_tx=*/100, /*ack_prop=*/1000, cfg,
+             faults, Rng(seed)) {}
 
   void on_wire(const Packet&, LinkId) override {
     ++wire_sends;
@@ -61,6 +63,7 @@ struct ArqHarness final : transport::TransportSink {
   std::vector<SessionId> delivered;
   std::uint64_t wire_sends = 0;
   std::vector<TimeNs> wire_times;
+  transport::FaultConfig faults;
   SimArqLink link;
 };
 
@@ -82,9 +85,34 @@ TEST(Arq, NoTrafficWhenNothingToSend) {
   EXPECT_EQ(h.ack.busy_until(), 0);
 }
 
+// The simulated wire validates its FaultConfig once, at construction,
+// for the bare links and every SimArqLink alike.
 TEST(Arq, CertainLossRejected) {
-  EXPECT_THROW(ArqHarness h(1.0), InvariantError);
-  EXPECT_THROW(ArqHarness h(-0.1), InvariantError);
+  const auto n = topo::make_dumbbell(2, 100.0);
+  for (const double drop : {1.0, -0.1}) {
+    sim::Simulator sim;
+    BneckConfig cfg;
+    cfg.wire.reliable_links = true;
+    cfg.wire.faults.drop = drop;
+    EXPECT_THROW({ BneckProtocol b(sim, n, cfg); }, InvariantError) << drop;
+  }
+}
+
+TEST(Arq, SimulatedWireModelsTheDropFateOnly) {
+  const auto n = topo::make_dumbbell(2, 100.0);
+  sim::Simulator sim;
+  BneckConfig cfg;
+  cfg.wire.reliable_links = true;
+  cfg.wire.faults.drop = 0.1;
+  cfg.wire.faults.duplicate = 0.05;
+  try {
+    BneckProtocol b(sim, n, cfg);
+    ADD_FAILURE() << "a duplicate fate was accepted";
+  } catch (const InvariantError& e) {
+    EXPECT_NE(std::string(e.what()).find("'dup' must be 0"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Arq, WindowLimitsOutstandingData) {
@@ -204,9 +232,9 @@ void run_lossy_bneck(double loss, bool reliable, std::uint64_t seed,
   const net::PathFinder paths(n);
   sim::Simulator sim;
   BneckConfig cfg;
-  cfg.wire.loss_probability = loss;
+  cfg.wire.faults.drop = loss;
+  cfg.wire.faults.seed = seed;
   cfg.wire.reliable_links = reliable;
-  cfg.wire.loss_seed = seed;
   BneckProtocol bneck(sim, n, cfg);
   for (int i = 0; i < 4; ++i) {
     bneck.join(SessionId{i},
@@ -225,7 +253,7 @@ void run_lossy_bneck(double loss, bool reliable, std::uint64_t seed,
     }
   }
   if (expect_exact) {
-    EXPECT_TRUE(all_exact) << "loss=" << loss << " reliable=" << reliable
+    EXPECT_TRUE(all_exact) << "drop=" << loss << " reliable=" << reliable
                            << " seed=" << seed;
     EXPECT_TRUE(bneck.all_tasks_stable());
   } else {
@@ -261,7 +289,7 @@ TEST(BneckLossy, RetransmissionsAreCountedAndBounded) {
   const net::PathFinder paths(n);
   sim::Simulator sim;
   BneckConfig cfg;
-  cfg.wire.loss_probability = 0.2;
+  cfg.wire.faults.drop = 0.2;
   cfg.wire.reliable_links = true;
   BneckProtocol bneck(sim, n, cfg);
   bneck.join(SessionId{0}, *paths.shortest_path(n.hosts()[0], n.hosts()[2]),
@@ -280,7 +308,7 @@ TEST(BneckLossy, QuiescentAfterArqDrains) {
   const net::PathFinder paths(n);
   sim::Simulator sim;
   BneckConfig cfg;
-  cfg.wire.loss_probability = 0.15;
+  cfg.wire.faults.drop = 0.15;
   cfg.wire.reliable_links = true;
   BneckProtocol bneck(sim, n, cfg);
   bneck.join(SessionId{0}, *paths.shortest_path(n.hosts()[0], n.hosts()[2]),
@@ -299,7 +327,7 @@ TEST(BneckLossy, DynamicsSurviveLoss) {
   const net::PathFinder paths(n);
   sim::Simulator sim;
   BneckConfig cfg;
-  cfg.wire.loss_probability = 0.15;
+  cfg.wire.faults.drop = 0.15;
   cfg.wire.reliable_links = true;
   BneckProtocol bneck(sim, n, cfg);
   for (int i = 0; i < 6; ++i) {

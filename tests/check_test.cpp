@@ -31,7 +31,7 @@ TEST(Scenario, GenerationIsDeterministic) {
     const Scenario b = generate_scenario(seed);
     EXPECT_EQ(a.events, b.events) << "seed " << seed;
     EXPECT_EQ(a.topo.kind, b.topo.kind);
-    EXPECT_EQ(a.loss_probability, b.loss_probability);
+    EXPECT_EQ(a.faults, b.faults);
   }
 }
 
@@ -105,6 +105,42 @@ TEST(Scenario, NormalizeSortsByTimeStably) {
 
 // ---- spec round-trip ----
 
+TEST(Scenario, LossySpecsCarryTheFaultGrammar) {
+  // Lossy generator seeds print faults=<FaultConfig form>; loss-free ones
+  // print no fault token at all.
+  int lossy = 0;
+  for (std::uint64_t seed = 0; seed < 64; ++seed) {
+    const Scenario sc = generate_scenario(seed);
+    const std::string spec = format_spec(sc);
+    if (!sc.faults.any()) {
+      EXPECT_EQ(spec.find("faults="), std::string::npos) << spec;
+      continue;
+    }
+    ++lossy;
+    EXPECT_NE(spec.find(" faults=" + sc.faults.to_string() + " "),
+              std::string::npos)
+        << spec;
+    EXPECT_GT(sc.faults.drop, 0.0);
+    EXPECT_EQ(sc.faults.seed, 0u);  // derived per run (seeded_faults)
+  }
+  EXPECT_GT(lossy, 0);
+  // The token goes through FaultConfig::parse and its validator.
+  EXPECT_THROW(
+      (void)parse_spec("v1 topo=line a=2 faults=drop=2 ev=j@0:s0:h0>h1:dinf"),
+      InvariantError);
+}
+
+TEST(Scenario, FaultSeedZeroDerivesFromTheScenarioSeed) {
+  transport::FaultConfig f;
+  f.drop = 0.1;
+  EXPECT_EQ(seeded_faults(f, 5, 1).seed, 5 * 0x9e3779b97f4a7c15ull + 1);
+  EXPECT_EQ(seeded_faults(f, 5, 2).seed, 5 * 0x9e3779b97f4a7c15ull + 2);
+  f.seed = 7;  // an explicit seed is wire 1's; wire k gets seed + k - 1
+  EXPECT_EQ(seeded_faults(f, 5, 1).seed, 7u);
+  EXPECT_EQ(seeded_faults(f, 5, 2).seed, 8u);
+  EXPECT_EQ(seeded_faults(f, 5, 2).drop, 0.1);
+}
+
 TEST(Scenario, SpecRoundTripsExactly) {
   for (std::uint64_t seed = 0; seed < 64; ++seed) {
     const Scenario sc = generate_scenario(seed);
@@ -120,7 +156,7 @@ TEST(Scenario, SpecRoundTripsExactly) {
     EXPECT_EQ(back.topo.router_capacity, sc.topo.router_capacity);
     EXPECT_EQ(back.topo.access_capacity, sc.topo.access_capacity);
     EXPECT_EQ(back.topo.wan, sc.topo.wan);
-    EXPECT_EQ(back.loss_probability, sc.loss_probability);
+    EXPECT_EQ(back.faults, sc.faults);
     EXPECT_EQ(back.seed, sc.seed);
     EXPECT_EQ(format_spec(back), spec);
   }
@@ -149,7 +185,7 @@ TEST(Scenario, PreWeightSpecsParseWithUnitWeights) {
   // semantics).
   const Scenario sc = parse_spec(
       "v1 topo=dumbbell a=2 b=0 hpr=1 hosts=6 tseed=0 rcap=200 acap=100 "
-      "wan=0 loss=0 seed=7 ev=j@0:s0:h0>h2:dinf;c@10:s0:d50;l@20:s0");
+      "wan=0 seed=7 ev=j@0:s0:h0>h2:dinf;c@10:s0:d50;l@20:s0");
   ASSERT_EQ(sc.events.size(), 3u);
   for (const auto& ev : sc.events) EXPECT_EQ(ev.weight, 1.0);
 }
@@ -359,7 +395,7 @@ TEST(CheckFault, SingleKickReplayVerdictIsPinned) {
   // reports the same text.
   const Scenario sc = parse_spec(
       "v1 topo=line a=2 b=0 hpr=2 hosts=6 tseed=0 rcap=200 acap=100 wan=0 "
-      "loss=0 seed=21 ev=j@0:s0:h1>h2:dinf;"
+      "seed=21 ev=j@0:s0:h1>h2:dinf;"
       "j@4038:s1:h0>h1:dinf:w1.4878569188546868;j@8873:s2:h3>h1:dinf;"
       "j@40123:s3:h2>h1:d117.43183533083712:w1.7656079429989657");
   const std::string want =
@@ -373,6 +409,32 @@ TEST(CheckFault, SingleKickReplayVerdictIsPinned) {
   const CheckResult unbudgeted = run_scenario(sc, disarmed);
   EXPECT_FALSE(unbudgeted.ok);
   EXPECT_EQ(unbudgeted.message, want);
+}
+
+TEST(CheckFault, ShrinkerRemovesTheFaultsAndTheTopologyKnobs) {
+  // Seed 771's shrunk single-kick reproducer with a lossy wire, WAN
+  // delays, a chord and spare hosts put back.  It still fails, and the
+  // failure needs none of them, so the shrinker's fault and topology
+  // candidates each have something to remove.
+  const Scenario lossy = parse_spec(
+      "v1 topo=random a=8 b=1 hpr=1 hosts=22 tseed=933684905 rcap=100 "
+      "acap=1000 wan=1 faults=drop=0.0348 seed=771 "
+      "ev=j@0:s16:h12>h16:dinf:w0.55031897998564072;"
+      "j@0:s19:h11>h0:dinf:w0.6324655027173155;j@0:s23:h3>h1:dinf;"
+      "j@0:s25:h16>h9:dinf:w1.2332981921121666");
+  ASSERT_TRUE(lossy.faults.any());
+  ASSERT_FALSE(run_scenario(lossy, fault_options()).ok);
+
+  ShrinkOptions sopt;
+  sopt.check = fault_options();
+  const ShrinkResult shrunk = shrink(lossy, sopt);
+  const std::string spec = format_spec(shrunk.minimal);
+  EXPECT_EQ(spec.find("faults="), std::string::npos) << spec;
+  EXPECT_FALSE(shrunk.minimal.topo.wan) << spec;
+  EXPECT_EQ(shrunk.minimal.topo.b, 0) << spec;
+  EXPECT_LT(shrunk.minimal.topo.hosts, lossy.topo.hosts) << spec;
+  // The loss-free minimal spec still reproduces the failure.
+  EXPECT_FALSE(run_scenario(parse_spec(spec), fault_options()).ok) << spec;
 }
 
 TEST(CheckFault, ShrinkOfAPassingScenarioThrows) {
@@ -409,6 +471,13 @@ TEST(CheckEmission, CppSnippetMentionsEverythingNeededToReproduce) {
   // Without the fault flag the options stay default.
   const std::string clean = cpp_snippet(sc, "Example", false);
   EXPECT_EQ(clean.find("fault_single_kick"), std::string::npos);
+  EXPECT_EQ(clean.find("sc.faults"), std::string::npos);
+  // A lossy scenario's snippet sets the same fault config exactly.
+  sc.faults.drop = 0.10902870970900722;
+  EXPECT_NE(cpp_snippet(sc, "Lossy", false)
+                .find("sc.faults = *bneck::transport::FaultConfig::parse("
+                      "\"drop=0.10902870970900722\", nullptr);"),
+            std::string::npos);
 }
 
 }  // namespace

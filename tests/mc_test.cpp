@@ -32,7 +32,7 @@ using check::Scenario;
 // generator drift (generate_small_scenario(0) first produced it).
 constexpr const char* kPinnedSpec =
     "v1 topo=line a=2 b=0 hpr=2 hosts=6 tseed=0 rcap=100 acap=50 wan=0 "
-    "loss=0 seed=0 ev=j@0:s0:h0>h2:d96.426500552166971;"
+    "seed=0 ev=j@0:s0:h0>h2:d96.426500552166971;"
     "j@0:s1:h3>h0:d66.81386364297731;l@31254:s1;l@50956:s0";
 
 // Exact enumerated facts about kPinnedSpec, over EVERY delivery
@@ -47,7 +47,7 @@ constexpr std::uint64_t kPinnedQuiescentStates = 1; // all schedules agree
 // canonical schedule; pinned as a spec for the witness-hunt test.
 constexpr const char* kSingleKickSpec =
     "v1 topo=line a=2 b=0 hpr=2 hosts=6 tseed=0 rcap=200 acap=100 wan=0 "
-    "loss=0 seed=21 ev=j@0:s0:h1>h2:dinf;"
+    "seed=21 ev=j@0:s0:h1>h2:dinf;"
     "j@4038:s1:h0>h1:dinf:w1.4878569188546868;j@8873:s2:h3>h1:dinf;"
     "j@40123:s3:h2>h1:d117.43183533083712:w1.7656079429989657";
 

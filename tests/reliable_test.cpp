@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "check/compliance.hpp"
@@ -443,6 +444,63 @@ TEST(FaultInjector, ParseRoundTripsAndRejectsNonsense) {
     EXPECT_FALSE(FaultConfig::parse(bad, &error).has_value()) << bad;
     EXPECT_FALSE(error.empty());
   }
+}
+
+TEST(FaultConfig, PrintedFormParsesBackFieldForField) {
+  // Non-round values: a %g-style print keeps six digits and would replay
+  // a different schedule.
+  FaultConfig c;
+  c.seed = 1234567890123456789u;
+  c.drop = 0.123456789;
+  c.duplicate = 0.0123456789012345;
+  c.reorder = 1.0 / 3 / 10;
+  c.corrupt = 2.5e-7;
+  c.delay = 0.2000000000000001;
+  c.delay_min = milliseconds(3);
+  c.delay_max = milliseconds(17);
+  std::string error;
+  const auto back = FaultConfig::parse(c.to_string(), &error);
+  ASSERT_TRUE(back.has_value()) << error << " in " << c.to_string();
+  EXPECT_EQ(back->seed, c.seed);
+  EXPECT_EQ(back->drop, c.drop) << c.to_string();
+  EXPECT_EQ(back->duplicate, c.duplicate) << c.to_string();
+  EXPECT_EQ(back->reorder, c.reorder) << c.to_string();
+  EXPECT_EQ(back->corrupt, c.corrupt) << c.to_string();
+  EXPECT_EQ(back->delay, c.delay) << c.to_string();
+  EXPECT_EQ(back->delay_min, c.delay_min);
+  EXPECT_EQ(back->delay_max, c.delay_max);
+  EXPECT_TRUE(*back == c);
+
+  // Fields at their defaults are left out; the defaults read back.
+  FaultConfig drop_only;
+  drop_only.drop = 0.10902870970900722;
+  EXPECT_EQ(drop_only.to_string(), "drop=0.10902870970900722");
+  EXPECT_TRUE(*FaultConfig::parse(drop_only.to_string(), &error) == drop_only);
+}
+
+TEST(FaultConfig, DropOnlyDrawTakesTheBitsOfAChanceDraw) {
+  FaultConfig c;
+  c.drop = 0.3;
+  Rng a(5);
+  Rng b(5);
+  for (int i = 0; i < 1000; ++i) {
+    EXPECT_EQ(c.draw(a) == Fate::Drop, b.chance(0.3)) << "draw " << i;
+  }
+  EXPECT_EQ(a.engine()(), b.engine()());  // same stream position
+}
+
+TEST(FaultConfig, OneValidatorForEveryConsumer) {
+  FaultConfig c;
+  EXPECT_EQ(c.validate(), "");
+  c.drop = 1.0;
+  EXPECT_NE(c.validate(), "");
+  EXPECT_THROW(FaultInjector{c}, InvariantError);
+  c.drop = 0.1;
+  c.delay = 0.1;
+  EXPECT_EQ(c.validate(), "");
+  EXPECT_NE(c.validate(/*drop_only=*/true).find("'delay'"), std::string::npos);
+  c.delay_max = c.delay_min - 1;
+  EXPECT_NE(c.validate(), "");
 }
 
 // ---- end-to-end: fail-fast and convergence-under-faults ----

@@ -556,7 +556,8 @@ TEST(TransportEquiv, SharedAccessGoldenTraceImplicitTransport) {
 TEST(TransportEquiv, LossyArqGoldenTrace) {
   BneckConfig cfg;
   cfg.wire.reliable_links = true;
-  cfg.wire.loss_probability = 0.2;
+  cfg.wire.faults.drop = 0.2;
+  cfg.wire.faults.seed = 0x10552024;  // the trace was pinned on this seed
   EXPECT_EQ(run_trace(cfg, drive_unweighted), kGoldenLossyArqTrace);
 }
 

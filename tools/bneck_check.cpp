@@ -58,10 +58,14 @@ void usage(const char* argv0) {
       "                        corrupt, delay, delay-min-ms, delay-max-ms),\n"
       "                        default = the standard ~11%%-loss preset;\n"
       "                        seed 0 derives from the scenario seed\n"
+      "                        (the three flags above need --compliance)\n"
       "  --threads N           worker threads (0 = all cores, default)\n"
       "  --shrink              minimize failures to a minimal reproducer\n"
       "  --max-shrink-runs N   candidate re-runs per shrink (default 4000)\n"
-      "  --replay \"<spec>\"     run one scenario spec (from the shrinker)\n"
+      "  --replay \"<spec>\"     run one scenario spec (from the shrinker);\n"
+      "                        a lossy spec carries faults=SPEC, the\n"
+      "                        --faults grammar, of which the simulated\n"
+      "                        wire models drop only\n"
       "  --expect-fail         with --replay: exit 0 only when the spec\n"
       "                        still reproduces a failure (regression\n"
       "                        pinning; a now-passing replay exits 1)\n"
@@ -82,6 +86,8 @@ struct Args {
   bool compliance_mode = false;
   bneck::check::ComplianceOptions compliance;
   bool timeout_set = false;
+  /// The first compliance-only flag given, refused without --compliance.
+  const char* compliance_flag = nullptr;
   std::size_t threads = 0;
   bool do_shrink = false;
   std::size_t max_shrink_runs = 4000;
@@ -134,6 +140,12 @@ bool parse_args(int argc, char** argv, Args* a) {
       return parse_multiplier(v, out) || refuse(flag, v);
     };
     std::uint64_t n = 0;
+    if (a->compliance_flag == nullptr &&
+        (std::strcmp(argv[i], "--compliance-threaded") == 0 ||
+         std::strcmp(argv[i], "--compliance-timeout") == 0 ||
+         std::strcmp(argv[i], "--faults") == 0)) {
+      a->compliance_flag = argv[i];
+    }
     if (std::strcmp(argv[i], "--seeds") == 0) {
       const char* v = next();
       if (v == nullptr || !parse_seed_range(v, &a->seed_first, &a->seed_last)) {
@@ -214,6 +226,10 @@ bool parse_args(int argc, char** argv, Args* a) {
       std::fprintf(stderr, "unknown flag %s\n", argv[i]);
       return false;
     }
+  }
+  if (a->compliance_flag != nullptr && !a->compliance_mode) {
+    std::fprintf(stderr, "%s needs --compliance\n", a->compliance_flag);
+    return false;
   }
   return true;
 }
@@ -304,15 +320,14 @@ int run(const Args& args) {
     // Sequential on purpose: each seed forks (or threads) its own
     // daemon; parallelizing would multiplex signals and sockets for no
     // coverage gain.
-    const bool faulted =
-        args.compliance.faults && args.compliance.faults->any();
+    const bool faulted = args.compliance.faults.any();
     bneck::check::ComplianceOptions copt = args.compliance;
     // Repairing a lossy wire takes retransmission round-trips; give the
     // faulted runs a bigger default budget.
     if (faulted && !args.timeout_set) copt.timeout_ms = 15000;
     if (faulted) {
       std::printf("bneck_check: faults armed: %s\n",
-                  copt.faults->to_string().c_str());
+                  copt.faults.to_string().c_str());
     }
     int failures = 0;
     std::uint64_t sessions = 0, frames = 0, retx = 0, dropped = 0;
@@ -328,7 +343,7 @@ int run(const Args& args) {
                     r.failure.c_str());
         std::printf("       replay: bneck_check --compliance %" PRIu64 "%s%s\n",
                     s, faulted ? " --faults " : "",
-                    faulted ? copt.faults->to_string().c_str() : "");
+                    faulted ? copt.faults.to_string().c_str() : "");
       } else if (args.verbose) {
         std::printf("[ ok ] compliance seed %" PRIu64 ": %u session(s), "
                     "%" PRIu64 " frames, %" PRIu64 " retx, %d nudge(s)\n",

@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
   int port = 0;
   int expiry_ms = 2000;
   int summary_ms = 5000;
-  std::optional<bneck::transport::FaultConfig> faults;
+  bneck::transport::FaultConfig faults;
   for (int i = 1; i < argc; ++i) {
     const auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
@@ -96,12 +96,15 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--faults") == 0) {
       const char* v = next();
       std::string error;
-      if (v == nullptr ||
-          !(faults = bneck::transport::FaultConfig::parse(v, &error))) {
+      const auto parsed =
+          v == nullptr ? std::nullopt
+                       : bneck::transport::FaultConfig::parse(v, &error);
+      if (!parsed) {
         std::fprintf(stderr, "bneckd: bad --faults spec: %s\n",
                      error.c_str());
         return 2;
       }
+      faults = *parsed;
     } else if (std::strcmp(argv[i], "--help") == 0) {
       usage(argv[0]);
       return 0;
